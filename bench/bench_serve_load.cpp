@@ -22,13 +22,11 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "compile/artifact.hpp"
 #include "compile/service.hpp"
@@ -40,8 +38,6 @@ namespace {
 
 using namespace ftsp;
 using Clock = std::chrono::steady_clock;
-
-#ifndef _WIN32
 
 struct Options {
   bool smoke = false;
@@ -292,17 +288,9 @@ int run(const Options& options) {
   return (failures.load() == 0 && qps > 0.0) ? 0 : 1;
 }
 
-#endif  // !_WIN32
-
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifdef _WIN32
-  (void)argc;
-  (void)argv;
-  std::fprintf(stderr, "bench_serve_load: not supported on this platform\n");
-  return 0;
-#else
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -344,5 +332,4 @@ int main(int argc, char** argv) {
         std::min<std::size_t>(options.requests_per_client, 40);
   }
   return run(options);
-#endif
 }

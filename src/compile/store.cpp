@@ -7,12 +7,8 @@
 #include <fstream>
 #include <sstream>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#else
-#include <process.h>
-#endif
 
 #include "compile/format.hpp"
 #include "core/synth_cache.hpp"
@@ -40,7 +36,6 @@ namespace fault = util::fault;
 /// must not break a store that worked before this hardening, and the
 /// rename path already detects genuinely unwritable directories.
 bool sync_file(const std::string& path) {
-#ifndef _WIN32
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return false;
@@ -48,14 +43,9 @@ bool sync_file(const std::string& path) {
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
-#else
-  (void)path;
-  return true;  // std::ofstream close flushed; no cheap fsync handle here.
-#endif
 }
 
 bool sync_parent_dir(const std::string& path) {
-#ifndef _WIN32
   const std::string parent = fs::path(path).parent_path().string();
   const int fd =
       ::open(parent.empty() ? "." : parent.c_str(), O_RDONLY | O_DIRECTORY);
@@ -65,10 +55,6 @@ bool sync_parent_dir(const std::string& path) {
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
-#else
-  (void)path;
-  return true;
-#endif
 }
 
 /// One crash-safe publish: fsync the finished temp file, rename it over
@@ -106,11 +92,7 @@ void publish_tmp(const std::string& tmp, const std::string& path,
 /// a pid.
 std::string unique_tmp_path(const std::string& path) {
   static std::atomic<std::uint64_t> serial{0};
-#ifndef _WIN32
   const unsigned long long pid = static_cast<unsigned long long>(::getpid());
-#else
-  const unsigned long long pid = static_cast<unsigned long long>(::_getpid());
-#endif
   return path + "." + std::to_string(pid) + "." +
          std::to_string(
              std::chrono::steady_clock::now().time_since_epoch().count()) +

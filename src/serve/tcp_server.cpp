@@ -1,46 +1,48 @@
 #include "serve/tcp_server.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <istream>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <stdexcept>
+#include <system_error>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "obs/expose.hpp"
 #include "obs/registry.hpp"
 #include "serve/wire.hpp"
 #include "util/fault_inject.hpp"
 
-#ifndef _WIN32
-
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#endif
-
 namespace ftsp::serve {
 
 namespace {
 
-#ifdef MSG_NOSIGNAL
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
+/// errno as text; std::strerror may share one static buffer across
+/// threads.
+std::string errno_text(int error) {
+  return std::generic_category().message(error);
+}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -88,6 +90,8 @@ struct TcpServer::Impl {
     bool want_read = true;
     bool want_write = false;
     bool eof = false;   ///< Peer half-closed; close once drained.
+    /// Complete lines wait in `in` until the pipeline has room.
+    bool held = false;
     bool dead = false;  ///< Marked for removal this iteration.
     /// Metrics-sidecar connection: bytes read are an HTTP request, the
     /// (single) response is a Prometheus text page, written-then-closed
@@ -122,11 +126,8 @@ struct TcpServer::Impl {
 
   int listener = -1;
   int metrics_listener = -1;
-  int wake_read = -1;
-  int wake_write = -1;
-#ifdef __linux__
+  int wake_fd = -1;
   int epoll_fd = -1;
-#endif
 
   std::uint64_t next_conn_id = 3;
   std::unordered_map<std::uint64_t, Connection> conns;
@@ -141,10 +142,12 @@ struct TcpServer::Impl {
 
   std::vector<std::thread> workers;
   std::thread loop_thread;
-  bool started = false;
+  /// Event-loop only: set once `stop()` is seen; accepts and reads end.
+  bool draining = false;
 
   std::mutex stop_mutex;
   std::condition_variable stop_cv;
+  bool started = false;  ///< Guarded by stop_mutex.
   bool stop_initiated = false;
   bool stopped = false;
 
@@ -155,14 +158,43 @@ struct TcpServer::Impl {
   ~Impl() {
     if (listener >= 0) ::close(listener);
     if (metrics_listener >= 0) ::close(metrics_listener);
-    if (wake_read >= 0) ::close(wake_read);
-    if (wake_write >= 0 && wake_write != wake_read) ::close(wake_write);
-#ifdef __linux__
+    if (wake_fd >= 0) ::close(wake_fd);
     if (epoll_fd >= 0) ::close(epoll_fd);
-#endif
     for (auto& [id, conn] : conns) {
       if (conn.fd >= 0) ::close(conn.fd);
     }
+  }
+
+  /// Binds one nonblocking AF_UNIX listener at `path`. A leftover socket
+  /// file (a previous server that did not stop cleanly) is replaced;
+  /// any other file at the path is an error, never silently deleted.
+  static int bind_unix_listener(const std::string& path) {
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(address.sun_path)) {
+      throw std::runtime_error("serve: unix socket path too long: " + path);
+    }
+    path.copy(address.sun_path, path.size());
+    struct stat existing {};
+    if (::lstat(path.c_str(), &existing) == 0) {
+      if (!S_ISSOCK(existing.st_mode)) {
+        throw std::runtime_error("serve: refusing to replace non-socket " +
+                                 path);
+      }
+      ::unlink(path.c_str());
+    }
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+      throw std::runtime_error("serve: socket() failed");
+    }
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
+               sizeof(address)) != 0 ||
+        ::listen(fd, 128) != 0) {
+      ::close(fd);
+      throw std::runtime_error("serve: cannot bind " + path);
+    }
+    set_nonblocking(fd);
+    return fd;
   }
 
   /// Binds one nonblocking IPv4 listener and returns {fd, bound port}.
@@ -203,63 +235,73 @@ struct TcpServer::Impl {
     return {fd, ntohs(bound.sin_port)};
   }
 
-  /// Returns {request port, metrics port} (metrics port 0 = disabled).
-  std::pair<std::uint16_t, std::uint16_t> bind_and_listen() {
+  /// Binds the request listener (unless `request_listener` is false)
+  /// and the metrics sidecar, and sets up epoll. Returns {request port,
+  /// metrics port}; 0 = no TCP port (unix socket, or disabled).
+  std::pair<std::uint16_t, std::uint16_t> bind_and_listen(
+      bool request_listener) {
     std::uint16_t bound_port = 0;
-    std::tie(listener, bound_port) = bind_listener(options.host, options.port);
+    if (request_listener && !options.unix_path.empty()) {
+      listener = bind_unix_listener(options.unix_path);
+    } else if (request_listener) {
+      std::tie(listener, bound_port) =
+          bind_listener(options.host, options.port);
+    }
     std::uint16_t bound_metrics_port = 0;
     if (options.metrics_enabled) {
       std::tie(metrics_listener, bound_metrics_port) =
           bind_listener(options.metrics_host, options.metrics_port);
     }
 
-#ifdef __linux__
-    wake_read = wake_write = ::eventfd(0, EFD_NONBLOCK);
-    if (wake_read < 0) {
+    wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (wake_fd < 0) {
       throw std::runtime_error("serve_tcp: eventfd() failed");
     }
     epoll_fd = ::epoll_create1(0);
     if (epoll_fd < 0) {
       throw std::runtime_error("serve_tcp: epoll_create1() failed");
     }
-    epoll_add(listener, kListenerId, /*read=*/true, /*write=*/false);
-    if (metrics_listener >= 0) {
-      epoll_add(metrics_listener, kMetricsListenerId, /*read=*/true,
-                /*write=*/false);
-    }
-    epoll_add(wake_read, kWakeId, /*read=*/true, /*write=*/false);
-#else
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-      throw std::runtime_error("serve_tcp: pipe() failed");
-    }
-    wake_read = pipe_fds[0];
-    wake_write = pipe_fds[1];
-    set_nonblocking(wake_read);
-    set_nonblocking(wake_write);
-#endif
+    const auto watch = [this](int fd, std::uint64_t id) {
+      if (fd >= 0 && !epoll_set(EPOLL_CTL_ADD, fd, id, /*read=*/true,
+                                /*write=*/false)) {
+        throw std::runtime_error("serve_tcp: epoll_ctl() failed: " +
+                                 errno_text(errno));
+      }
+    };
+    watch(listener, kListenerId);
+    watch(metrics_listener, kMetricsListenerId);
+    watch(wake_fd, kWakeId);
     return {bound_port, bound_metrics_port};
   }
 
   // -------------------------------------------------------------------
-  // Readiness plumbing (epoll on Linux, poll(2) elsewhere)
+  // Readiness plumbing
   // -------------------------------------------------------------------
 
-#ifdef __linux__
-  void epoll_add(int fd, std::uint64_t id, bool read, bool write) {
+  /// EPOLL_CTL_ADD / EPOLL_CTL_MOD; false (errno set) on failure.
+  bool epoll_set(int op, int fd, std::uint64_t id, bool read, bool write) {
     epoll_event event{};
     event.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
     event.data.u64 = id;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event);
+    return ::epoll_ctl(epoll_fd, op, fd, &event) == 0;
   }
 
-  void epoll_mod(int fd, std::uint64_t id, bool read, bool write) {
-    epoll_event event{};
-    event.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-    event.data.u64 = id;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &event);
+  /// Registers a freshly accepted or adopted connection with the event
+  /// loop. When epoll refuses the fd, the connection could never be
+  /// polled — its client would hang with no error — so it is closed,
+  /// counted as a rejection, and false is returned.
+  bool watch_connection(int fd, std::uint64_t id) {
+    if (epoll_set(EPOLL_CTL_ADD, fd, id, /*read=*/true, /*write=*/false)) {
+      return true;
+    }
+    const int error = errno;
+    std::fprintf(stderr, "ftsp-serve: cannot watch connection %llu: %s\n",
+                 static_cast<unsigned long long>(id), errno_text(error).c_str());
+    count_connection_event("serve.conn.reject.count");
+    ::close(fd);
+    errno = error;
+    return false;
   }
-#endif
 
   void set_interest(std::uint64_t id, Connection& conn, bool read,
                     bool write) {
@@ -268,11 +310,13 @@ struct TcpServer::Impl {
     }
     conn.want_read = read;
     conn.want_write = write;
-#ifdef __linux__
-    epoll_mod(conn.fd, id, read, write);
-#else
-    (void)id;  // poll(2) path rebuilds its fd set each iteration.
-#endif
+    if (!epoll_set(EPOLL_CTL_MOD, conn.fd, id, read, write)) {
+      std::fprintf(stderr, "ftsp-serve: closing connection %llu: "
+                           "epoll_ctl() failed: %s\n",
+                   static_cast<unsigned long long>(id),
+                   errno_text(errno).c_str());
+      conn.dead = true;
+    }
   }
 
   struct Event {
@@ -283,7 +327,6 @@ struct TcpServer::Impl {
 
   std::vector<Event> wait_events(int timeout_ms) {
     std::vector<Event> out;
-#ifdef __linux__
     epoll_event events[64];
     const int n = ::epoll_wait(epoll_fd, events, 64, timeout_ms);
     out.reserve(n > 0 ? static_cast<std::size_t>(n) : 0);
@@ -293,50 +336,18 @@ struct TcpServer::Impl {
       const bool writable = (events[i].events & EPOLLOUT) != 0;
       out.push_back({events[i].data.u64, readable, writable});
     }
-#else
-    std::vector<pollfd> fds;
-    std::vector<std::uint64_t> ids;
-    fds.push_back({listener, POLLIN, 0});
-    ids.push_back(kListenerId);
-    if (metrics_listener >= 0) {
-      fds.push_back({metrics_listener, POLLIN, 0});
-      ids.push_back(kMetricsListenerId);
-    }
-    fds.push_back({wake_read, POLLIN, 0});
-    ids.push_back(kWakeId);
-    for (auto& [id, conn] : conns) {
-      short events = 0;
-      if (conn.want_read) events |= POLLIN;
-      if (conn.want_write) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
-      ids.push_back(id);
-    }
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n > 0) {
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        const bool readable =
-            (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-        const bool writable = (fds[i].revents & POLLOUT) != 0;
-        if (readable || writable) {
-          out.push_back({ids[i], readable, writable});
-        }
-      }
-    }
-#endif
     return out;
   }
 
   void wake() {
     const std::uint64_t one = 1;
-    // Best effort: a full pipe/eventfd already guarantees a wakeup.
-    [[maybe_unused]] const auto n =
-        ::write(wake_write, &one, sizeof(one));
+    // Best effort: a saturated eventfd already guarantees a wakeup.
+    [[maybe_unused]] const auto n = ::write(wake_fd, &one, sizeof(one));
   }
 
   void drain_wake_fd() {
-    char buf[64];
-    while (::read(wake_read, buf, sizeof(buf)) > 0) {
-    }
+    std::uint64_t count = 0;
+    [[maybe_unused]] const auto n = ::read(wake_fd, &count, sizeof(count));
   }
 
   bool is_stopping() {
@@ -394,9 +405,12 @@ struct TcpServer::Impl {
   // Event-loop helpers
   // -------------------------------------------------------------------
 
-  void accept_ready() {
+  /// Accepts every pending connection on the request listener, or with
+  /// `metrics` on the metrics sidecar's.
+  void accept_ready(bool metrics) {
     for (;;) {
-      const int fd = ::accept(listener, nullptr, nullptr);
+      const int fd =
+          ::accept(metrics ? metrics_listener : listener, nullptr, nullptr);
       if (fd < 0) {
         return;  // EAGAIN (or transient error): back to the loop.
       }
@@ -404,7 +418,7 @@ struct TcpServer::Impl {
       // accepted connection, simulating fd exhaustion / transient accept
       // errors. (Delays are applied too, but keep them short — this is
       // the event-loop thread.)
-      if (util::fault::hit("serve.accept").fail) {
+      if (!metrics && util::fault::hit("serve.accept").fail) {
         ::close(fd);
         continue;
       }
@@ -413,63 +427,51 @@ struct TcpServer::Impl {
         // — a silent RST is indistinguishable from a network fault.
         stats->rejected_overloaded.fetch_add(1);
         count_connection_event("serve.conn.reject.count");
-        const std::string line = control_error_line(
-            error_code::kOverloaded,
-            "connection limit reached (" +
-                std::to_string(options.max_connections) + ")");
+        const std::string reply =
+            metrics ? "HTTP/1.0 503 Service Unavailable\r\n"
+                      "Content-Length: 0\r\nConnection: close\r\n\r\n"
+                    : control_error_line(
+                          error_code::kOverloaded,
+                          "connection limit reached (" +
+                              std::to_string(options.max_connections) + ")");
         [[maybe_unused]] const auto n =
-            ::send(fd, line.data(), line.size(), kSendFlags);
+            ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
         ::close(fd);
         continue;
       }
       set_nonblocking(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      stats->accepted.fetch_add(1);
-      count_connection_event("serve.conn.accept.count");
+      if (metrics || options.unix_path.empty()) {  // Not on AF_UNIX.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       const std::uint64_t id = next_conn_id++;
-      Connection conn;
-      conn.fd = fd;
-      conn.last_activity = std::chrono::steady_clock::now();
-#ifdef __linux__
-      epoll_add(fd, id, /*read=*/true, /*write=*/false);
-#endif
-      conns.emplace(id, std::move(conn));
+      if (watch_connection(fd, id)) {
+        admit(id, fd, metrics);
+      }
     }
   }
 
-  void accept_metrics_ready() {
-    for (;;) {
-      const int fd = ::accept(metrics_listener, nullptr, nullptr);
-      if (fd < 0) {
-        return;  // EAGAIN (or transient error): back to the loop.
-      }
-      if (conns.size() >= options.max_connections) {
-        stats->rejected_overloaded.fetch_add(1);
-        count_connection_event("serve.conn.reject.count");
-        static constexpr char k503[] =
-            "HTTP/1.0 503 Service Unavailable\r\n"
-            "Content-Length: 0\r\nConnection: close\r\n\r\n";
-        [[maybe_unused]] const auto n =
-            ::send(fd, k503, sizeof(k503) - 1, kSendFlags);
-        ::close(fd);
-        continue;
-      }
-      set_nonblocking(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      stats->accepted.fetch_add(1);
-      count_connection_event("serve.conn.accept.count");
-      const std::uint64_t id = next_conn_id++;
-      Connection conn;
-      conn.fd = fd;
-      conn.metrics = true;
-      conn.last_activity = std::chrono::steady_clock::now();
-#ifdef __linux__
-      epoll_add(fd, id, /*read=*/true, /*write=*/false);
-#endif
-      conns.emplace(id, std::move(conn));
-    }
+  /// Adds a connection already registered with epoll.
+  void admit(std::uint64_t id, int fd, bool metrics) {
+    stats->accepted.fetch_add(1);
+    count_connection_event("serve.conn.accept.count");
+    Connection conn;
+    conn.fd = fd;
+    conn.metrics = metrics;
+    conn.last_activity = std::chrono::steady_clock::now();
+    conns.emplace(id, std::move(conn));
+  }
+
+  /// Backpressure: a connection takes new request bytes only while it
+  /// has room in its pipeline *and* its client keeps up with the
+  /// responses. The pipeline counts finished responses that wait for an
+  /// earlier one too: one slow request must not let the others pile up
+  /// behind it. Without the output half, a slow reader would pile up
+  /// responses until the `max_output_bytes` close.
+  bool accepts_input(const Connection& conn) const {
+    return conn.inflight + conn.ready.size() <
+               options.max_inflight_per_connection &&
+           conn.out.size() < options.max_output_bytes / 2;
   }
 
   /// Reads the (ignored) HTTP request off a metrics connection, then
@@ -519,12 +521,13 @@ struct TcpServer::Impl {
   }
 
   /// Parses complete lines out of `conn.in` and queues them as compute
-  /// tasks. Returns false when the connection violated the protocol
-  /// (oversized line) and must die.
+  /// tasks while the connection accepts input; the rest wait in
+  /// `conn.in` (`held`) until responses drain. Returns false when the
+  /// connection violated the protocol (oversized line) and must die.
   bool queue_lines(std::uint64_t id, Connection& conn) {
     std::size_t start = 0;
     std::size_t queued = 0;
-    for (;;) {
+    while (accepts_input(conn)) {
       const auto newline = conn.in.find('\n', start);
       if (newline == std::string::npos) {
         break;
@@ -547,7 +550,12 @@ struct TcpServer::Impl {
       ++queued;
     }
     conn.in.erase(0, start);
-    if (conn.in.size() > options.max_line_bytes) {
+    conn.held = !accepts_input(conn);
+    const auto last_newline = conn.in.rfind('\n');
+    const std::size_t tail = last_newline == std::string::npos
+                                 ? conn.in.size()
+                                 : conn.in.size() - last_newline - 1;
+    if (tail > options.max_line_bytes) {
       std::fprintf(stderr,
                    "ftsp-serve: closing connection %llu: request line "
                    "exceeds %zu bytes\n",
@@ -565,7 +573,7 @@ struct TcpServer::Impl {
 
   void read_ready(std::uint64_t id, Connection& conn) {
     char chunk[16384];
-    for (;;) {
+    while (accepts_input(conn)) {
       const auto got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
       if (got > 0) {
         conn.last_activity = std::chrono::steady_clock::now();
@@ -593,7 +601,7 @@ struct TcpServer::Impl {
   bool flush(Connection& conn) {
     while (!conn.out.empty()) {
       const auto sent =
-          ::send(conn.fd, conn.out.data(), conn.out.size(), kSendFlags);
+          ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
       if (sent > 0) {
         conn.out.erase(0, static_cast<std::size_t>(sent));
         conn.last_activity = std::chrono::steady_clock::now();
@@ -655,15 +663,20 @@ struct TcpServer::Impl {
         conn.dead = true;
         continue;
       }
-      if (conn.eof && conn.inflight == 0 && conn.ready.empty() &&
-          conn.out.empty()) {
+      if (conn.eof && !conn.held && conn.inflight == 0 &&
+          conn.ready.empty() && conn.out.empty()) {
         conn.dead = true;  // Fully drained after peer half-close.
         continue;
       }
+      if (conn.held && !draining && accepts_input(conn) &&
+          !queue_lines(id, conn)) {
+        conn.dead = true;
+        continue;
+      }
       // Input backpressure: stop reading while this connection has a
-      // full pipeline; resume as responses drain.
-      const bool read = !conn.eof &&
-                        conn.inflight < options.max_inflight_per_connection;
+      // full pipeline or a backlog of unread responses; resume as they
+      // drain. A drain reads nothing.
+      const bool read = !draining && !conn.eof && accepts_input(conn);
       set_interest(id, conn, read, !conn.out.empty());
     }
   }
@@ -703,23 +716,17 @@ struct TcpServer::Impl {
   // -------------------------------------------------------------------
 
   void loop() {
-    bool draining = false;
     for (;;) {
       const int timeout_ms = draining ? 20 : 200;
-      for (const Event& event : wait_events(timeout_ms)) {
+      const std::vector<Event> events = wait_events(timeout_ms);
+      for (const Event& event : events) {
         if (event.id == kWakeId) {
           drain_wake_fd();
           continue;
         }
-        if (event.id == kListenerId) {
+        if (event.id == kListenerId || event.id == kMetricsListenerId) {
           if (!draining) {
-            accept_ready();
-          }
-          continue;
-        }
-        if (event.id == kMetricsListenerId) {
-          if (!draining) {
-            accept_metrics_ready();
+            accept_ready(/*metrics=*/event.id == kMetricsListenerId);
           }
           continue;
         }
@@ -743,9 +750,14 @@ struct TcpServer::Impl {
       if (!draining && is_stopping()) {
         // Graceful drain: no new connections, no new request lines —
         // existing in-flight work runs to completion and flushes.
+        // Unwatching the listeners (and dropping read interest below)
+        // keeps pending connects and unread bytes from spinning the
+        // level-triggered wait while the drain runs.
         draining = true;
-        for (auto& [id, conn] : conns) {
-          set_interest(id, conn, /*read=*/false, !conn.out.empty());
+        for (const int fd : {listener, metrics_listener}) {
+          if (fd >= 0) {
+            ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+          }
         }
       }
 
@@ -779,20 +791,29 @@ struct TcpServer::Impl {
 };
 
 TcpServer::TcpServer(ServiceSnapshotFn service, TcpServerOptions options)
+    : TcpServer(std::move(service), std::move(options),
+                /*request_listener=*/true) {}
+
+TcpServer::TcpServer(ServiceSnapshotFn service, TcpServerOptions options,
+                     bool request_listener)
     : impl_(std::make_unique<Impl>()) {
   if (!service) {
     throw std::runtime_error("serve_tcp: null service snapshot provider");
   }
   impl_->snapshot = std::move(service);
-  impl_->options = options;
+  impl_->options = std::move(options);
   impl_->stats = &stats_;
-  std::tie(port_, metrics_port_) = impl_->bind_and_listen();
+  std::tie(port_, metrics_port_) = impl_->bind_and_listen(request_listener);
 }
 
 TcpServer::~TcpServer() { stop(); }
 
 void TcpServer::start() {
-  if (impl_->started) {
+  // Under stop_mutex, so a `stop()` that comes first (a signal handled
+  // before start-up finished) leaves the server never started, and a
+  // later `stop()` always sees the threads it must join.
+  std::lock_guard<std::mutex> lock(impl_->stop_mutex);
+  if (impl_->started || impl_->stop_initiated) {
     return;
   }
   impl_->started = true;
@@ -807,13 +828,32 @@ void TcpServer::start() {
   impl_->loop_thread = std::thread([this] { impl_->loop(); });
 }
 
+void TcpServer::adopt(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(impl_->stop_mutex);
+    if (impl_->started || impl_->stop_initiated) {
+      ::close(fd);
+      throw std::runtime_error("serve: adopt() is only valid before start()");
+    }
+  }
+  set_nonblocking(fd);
+  const std::uint64_t id = impl_->next_conn_id++;
+  if (!impl_->watch_connection(fd, id)) {
+    throw std::runtime_error("serve: cannot adopt fd " + std::to_string(fd) +
+                             ": " + errno_text(errno));
+  }
+  impl_->admit(id, fd, /*metrics=*/false);
+}
+
 void TcpServer::stop() {
+  bool started = false;
   {
     std::lock_guard<std::mutex> lock(impl_->stop_mutex);
     if (impl_->stop_initiated) {
       return;  // Already stopped (or stopping on another thread).
     }
     impl_->stop_initiated = true;
+    started = impl_->started;
   }
   {
     std::lock_guard<std::mutex> lock(impl_->task_mutex);
@@ -821,11 +861,16 @@ void TcpServer::stop() {
   }
   impl_->task_cv.notify_all();
   impl_->wake();
-  if (impl_->started) {
+  if (started) {
     impl_->loop_thread.join();
     for (auto& worker : impl_->workers) {
       worker.join();
     }
+  }
+  if (impl_->listener >= 0 && !impl_->options.unix_path.empty()) {
+    ::close(impl_->listener);
+    impl_->listener = -1;
+    ::unlink(impl_->options.unix_path.c_str());
   }
   {
     std::lock_guard<std::mutex> lock(impl_->stop_mutex);
@@ -839,22 +884,122 @@ void TcpServer::wait() {
   impl_->stop_cv.wait(lock, [&] { return impl_->stopped; });
 }
 
-}  // namespace ftsp::serve
+std::size_t serve_lines(TcpServer::ServiceSnapshotFn service, std::istream& in,
+                        std::ostream& out, TcpServerOptions options,
+                        const std::function<void(const TcpServer&)>& on_ready) {
+  TcpServer server(std::move(service), std::move(options),
+                   /*request_listener=*/false);
+  if (on_ready) {
+    on_ready(server);
+  }
+  int ends[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, ends) != 0) {
+    throw std::runtime_error("serve: socketpair() failed");
+  }
+  const int client = ends[1];
+  try {
+    server.adopt(ends[0]);
+  } catch (...) {
+    ::close(client);
+    throw;
+  }
+  server.start();
 
-#else  // _WIN32
-
-namespace ftsp::serve {
-
-struct TcpServer::Impl {};
-
-TcpServer::TcpServer(ServiceSnapshotFn, TcpServerOptions) {
-  throw std::runtime_error("serve_tcp: not supported on this platform");
+  // `in` may be tied to `out` (std::cin is tied to std::cout): reading
+  // would then flush `out` from this thread while the pump below writes
+  // it. Untie for the session; every response chunk is flushed anyway.
+  std::ostream* const tied = in.tie(nullptr);
+  std::exception_ptr output_error;
+  std::size_t answered = 0;  // Response lines written to `out`.
+  std::thread responses([&out, &output_error, &answered, client] {
+    try {
+      char chunk[16384];
+      for (;;) {
+        const auto got = ::recv(client, chunk, sizeof(chunk), 0);
+        if (got < 0 && errno == EINTR) {
+          continue;
+        }
+        if (got <= 0) {
+          return;  // The server closed the connection.
+        }
+        answered +=
+            static_cast<std::size_t>(std::count(chunk, chunk + got, '\n'));
+        out.write(chunk, got);
+        out.flush();
+        if (!out) {
+          throw std::runtime_error("serve: cannot write responses");
+        }
+      }
+    } catch (...) {
+      output_error = std::current_exception();
+      // Fails the feeder's next send, so it stops feeding a connection
+      // nobody reads.
+      ::shutdown(client, SHUT_RDWR);
+    }
+  });
+  // One line per send, so an interactive client gets each answer as
+  // soon as it is computed. A send error means the server closed the
+  // connection (an oversized line, an idle timeout): stop feeding it.
+  const auto send_all = [client](const std::string& bytes) {
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const auto n = ::send(client, bytes.data() + sent, bytes.size() - sent,
+                            MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n <= 0) {
+        return false;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  std::size_t fed = 0;  // Request lines sent; each is owed one response.
+  bool cut_off = false;
+  std::exception_ptr input_error;
+  try {
+    std::string line;
+    while (std::getline(in, line)) {
+      // The server drops a trailing CR and skips empty lines; doing the
+      // same here keeps `fed` equal to the number of responses owed.
+      if (!line.empty() && line.back() == '\r') {
+        line.pop_back();
+      }
+      if (line.empty()) {
+        continue;
+      }
+      line += '\n';
+      if (!send_all(line)) {
+        cut_off = true;
+        break;
+      }
+      ++fed;
+    }
+  } catch (...) {
+    input_error = std::current_exception();
+  }
+  ::shutdown(client, SHUT_WR);
+  responses.join();
+  ::close(client);
+  in.tie(tied);
+  server.stop();
+  for (const auto& error : {input_error, output_error}) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+  // The server closes the stream early only when it gives up on it (a
+  // line over `max_line_bytes`, a response backlog over
+  // `max_output_bytes`, the idle timeout): output is cut short, which
+  // must not pass for a clean end of input.
+  if (cut_off || answered != fed) {
+    throw std::runtime_error(
+        "serve: output cut short: the server closed the stream after " +
+        std::to_string(answered) + " response(s), " +
+        (cut_off ? "before the input ended"
+                 : "with " + std::to_string(fed) + " owed"));
+  }
+  return server.stats().requests.load();
 }
-TcpServer::~TcpServer() = default;
-void TcpServer::start() {}
-void TcpServer::stop() {}
-void TcpServer::wait() {}
 
 }  // namespace ftsp::serve
-
-#endif

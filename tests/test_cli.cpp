@@ -5,13 +5,18 @@
 // as FTSP_CLI_PATH.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 namespace {
 
@@ -187,6 +192,99 @@ TEST(Cli, DeviceTargetedCompileAndQuery) {
   EXPECT_EQ(malformed.exit_code, 0) << malformed.output;
   EXPECT_NE(malformed.output.find("\"ok\":false"), std::string::npos)
       << malformed.output;
+}
+
+TEST(Cli, StdinServingExitsNonZeroWhenOutputIsCutShort) {
+  TempDir dir("stdin-cut");
+  const std::string store = (dir.path / "store").string();
+  const auto compiled = run_cli("compile Steane --store " + store);
+  ASSERT_EQ(compiled.exit_code, 0) << compiled.output;
+
+  const std::string requests = (dir.path / "requests.jsonl").string();
+  std::ofstream(requests) << "{\"op\":\"codes\"}\n";
+  const auto clean = run_cli("serve --store " + store + " < " + requests);
+  EXPECT_EQ(clean.exit_code, 0) << clean.output;
+
+  // A line over the 1 MiB bound makes the server drop the stream: the
+  // answers after it are lost, which must not exit 0.
+  std::ofstream(requests) << "{\"op\":\"codes\"}\n"
+                          << std::string(std::size_t{2} << 20, 'x')
+                          << "\n{\"op\":\"codes\"}\n";
+  const auto cut = run_cli("serve --store " + store + " < " + requests);
+  EXPECT_EQ(cut.exit_code, 1) << cut.output;
+  EXPECT_NE(cut.output.find("output cut short"), std::string::npos)
+      << cut.output;
+}
+
+TEST(Cli, SocketServingWritesTheAccessLogAndDrainsOnSigterm) {
+  TempDir dir("socket");
+  const std::string store = (dir.path / "store").string();
+  const auto compiled = run_cli("compile Steane --store " + store);
+  ASSERT_EQ(compiled.exit_code, 0) << compiled.output;
+
+  const std::string socket_path = (dir.path / "serve.sock").string();
+  const std::string access_log = (dir.path / "access.jsonl").string();
+  const std::string server_log = (dir.path / "serve.log").string();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::freopen(server_log.c_str(), "w", stderr);
+    ::execl(FTSP_CLI_PATH, FTSP_CLI_PATH, "serve", "--store", store.c_str(),
+            "--socket", socket_path.c_str(), "--access-log",
+            access_log.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+
+  // Connect once the server has bound its socket.
+  int fd = -1;
+  for (int attempt = 0; attempt < 500 && fd < 0; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    socket_path.copy(address.sun_path, sizeof(address.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                  sizeof(address)) != 0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  EXPECT_GE(fd, 0) << "could not connect to " << socket_path;
+  std::string response;
+  if (fd >= 0) {
+    const std::string request = "{\"v\":2,\"op\":\"health\"}\n";
+    EXPECT_EQ(::write(fd, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+    char chunk[4096];
+    while (response.find('\n') == std::string::npos) {
+      const auto got = ::read(fd, chunk, sizeof(chunk));
+      if (got <= 0) {
+        break;
+      }
+      response.append(chunk, static_cast<std::size_t>(got));
+    }
+    ::close(fd);
+  }
+  ::kill(pid, SIGTERM);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  std::ifstream log_in(server_log);
+  const std::string log((std::istreambuf_iterator<char>(log_in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(response.find("\"status\":\"serving\""), std::string::npos)
+      << response << log;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << log;
+  EXPECT_NE(log.find("drained; exiting cleanly"), std::string::npos) << log;
+  EXPECT_FALSE(fs::exists(socket_path)) << "socket file left behind";
+
+  std::ifstream access_in(access_log);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(access_in, line)) {
+    ++lines;
+    EXPECT_NE(line.find("\"op\":\"health\""), std::string::npos) << line;
+  }
+  EXPECT_EQ(lines, 1u);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// The serving front-end: JSON parsing, request handling, the ordered
-// multi-threaded line loop, and the unix-socket server.
+// The serving front-end: JSON parsing, request handling, and the
+// ordered multi-threaded line loop and unix-socket serving of the
+// serving core.
 #include "compile/service.hpp"
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include <sstream>
 #include <thread>
@@ -17,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "qec/code_library.hpp"
 #include "serve/cache.hpp"
+#include "serve/tcp_server.hpp"
 
 namespace ftsp::compile {
 namespace {
@@ -68,6 +68,15 @@ class ServiceTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete service_;
     service_ = nullptr;
+  }
+
+  /// The serving core's snapshot provider over the suite's service
+  /// (non-owning: the suite outlives every server in it).
+  static serve::TcpServer::ServiceSnapshotFn snapshot() {
+    return [] {
+      return std::shared_ptr<const ProtocolService>(std::shared_ptr<void>(),
+                                                    service_);
+    };
   }
 
   static ProtocolService* service_;
@@ -174,9 +183,9 @@ TEST_F(ServiceTest, ServeLinesPreservesOrderAcrossThreads) {
   }
   std::istringstream in(requests.str());
   std::ostringstream out;
-  ServeOptions options;
+  serve::TcpServerOptions options;
   options.num_threads = 8;
-  EXPECT_EQ(serve_lines(*service_, in, out, options),
+  EXPECT_EQ(serve::serve_lines(snapshot(), in, out, options),
             static_cast<std::size_t>(kRequests));
 
   std::istringstream lines(out.str());
@@ -530,7 +539,6 @@ TEST(PayloadCacheTest, ComputeExceptionsPropagateAndAreNotCached) {
   EXPECT_EQ(ok.payload, "fine");
 }
 
-#ifndef _WIN32
 int connect_with_retry(const std::string& path) {
   for (int attempt = 0; attempt < 200; ++attempt) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -551,11 +559,11 @@ int connect_with_retry(const std::string& path) {
 }
 
 TEST_F(ServiceTest, SocketServerSurvivesEarlyDisconnectAndAnswers) {
-  const std::string path =
-      "/tmp/ftsp-test-sock-" + std::to_string(::getpid());
-  std::thread server([&] {
-    serve_socket(*service_, path, {}, /*max_connections=*/2);
-  });
+  serve::TcpServerOptions options;
+  options.unix_path = "/tmp/ftsp-test-sock-" + std::to_string(::getpid());
+  const std::string& path = options.unix_path;
+  serve::TcpServer server(snapshot(), options);
+  server.start();
 
   // Connection 1: send a request and hang up WITHOUT reading the
   // response. The server's write hits a closed peer — it must shrug
@@ -586,11 +594,10 @@ TEST_F(ServiceTest, SocketServerSurvivesEarlyDisconnectAndAnswers) {
     response.append(buffer, static_cast<std::size_t>(got));
   }
   ::close(fd);
-  server.join();
+  server.stop();
   EXPECT_NE(response.find(R"("ok":true)"), std::string::npos);
   EXPECT_NE(response.find(R"("n":7)"), std::string::npos);
 }
-#endif
 
 }  // namespace
 }  // namespace ftsp::compile

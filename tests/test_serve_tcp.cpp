@@ -1,15 +1,16 @@
-// The TCP serving tier: the epoll event loop, per-connection response
-// ordering, admission control, idle reaping, hot store reload, and
-// coalesced/cached serving determinism.
+// The serving core: the epoll event loop, per-connection response
+// ordering, admission control, idle reaping, hot store reload, unix
+// sockets and adopted connections, and coalesced/cached serving
+// determinism.
 #include "serve/tcp_server.hpp"
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
-
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -66,6 +67,14 @@ class Client {
     address.sin_family = AF_INET;
     address.sin_port = htons(port);
     ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
+                           sizeof(address)) == 0;
+  }
+  explicit Client(const std::string& unix_path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    unix_path.copy(address.sun_path, sizeof(address.sun_path) - 1);
     connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
                            sizeof(address)) == 0;
   }
@@ -676,9 +685,230 @@ TEST_F(ServeTcpTest, FailedReloadDegradesHealthButKeepsServing) {
   EXPECT_EQ(recovered.find("degraded"), std::string::npos) << recovered;
 }
 
+std::string unix_socket_path(const TempDir& dir) {
+  return (dir.path / "serve.sock").string();
+}
+
+TEST_F(ServeTcpTest, UnixSocketOverLimitConnectionIsRejectedWithCode) {
+  TempDir dir;
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = unix_socket_path(dir);
+  options.max_connections = 1;
+  options.num_threads = 1;
+  TcpServer server([&] { return service; }, options);
+  server.start();
+  EXPECT_EQ(server.port(), 0u);
+
+  Client first(options.unix_path);
+  ASSERT_TRUE(first.connected());
+  ASSERT_TRUE(first.send_line(R"({"v":2,"op":"health"})"));
+  EXPECT_NE(first.read_line().find(R"("status":"serving")"),
+            std::string::npos);
+
+  Client second(options.unix_path);
+  ASSERT_TRUE(second.connected());
+  const std::string rejection = second.read_line();
+  EXPECT_NE(rejection.find(R"("code":"overloaded")"), std::string::npos)
+      << rejection;
+  EXPECT_TRUE(second.at_eof()) << "rejected connection was left open";
+
+  ASSERT_TRUE(first.send_line(R"({"op":"codes"})"));
+  EXPECT_NE(first.read_line().find(R"("ok":true)"), std::string::npos);
+  EXPECT_EQ(server.stats().rejected_overloaded.load(), 1u);
+  server.stop();
+}
+
+TEST_F(ServeTcpTest, UnixSocketReplacesStaleFileAndRemovesItOnStop) {
+  TempDir dir;
+  const std::string path = unix_socket_path(dir);
+  {
+    // A socket file left behind by a server that never unlinked it.
+    const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    path.copy(address.sun_path, sizeof(address.sun_path) - 1);
+    ASSERT_EQ(::bind(stale, reinterpret_cast<const sockaddr*>(&address),
+                     sizeof(address)),
+              0);
+    ::close(stale);
+  }
+  ASSERT_TRUE(fs::exists(path));
+
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = path;
+  options.num_threads = 1;
+  TcpServer server([&] { return service; }, options);
+  server.start();
+  Client client(path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_line(R"({"op":"codes"})"));
+  EXPECT_NE(client.read_line().find(R"("ok":true)"), std::string::npos);
+  client.close();
+  server.stop();
+  EXPECT_FALSE(fs::exists(path)) << "socket file left behind after stop()";
+}
+
+TEST_F(ServeTcpTest, UnixSocketNeverReplacesARegularFile) {
+  TempDir dir;
+  const std::string path = unix_socket_path(dir);
+  std::ofstream(path) << "not a socket\n";
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = path;
+  EXPECT_THROW(TcpServer([&] { return service; }, options),
+               std::runtime_error);
+  EXPECT_TRUE(fs::is_regular_file(path));
+}
+
+TEST_F(ServeTcpTest, AdoptingAnUnwatchableFdFailsLoudlyAndServingContinues) {
+  TempDir dir;
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.num_threads = 1;
+  TcpServer server([&] { return service; }, options);
+
+  // epoll refuses regular files (EPERM): a silent registration failure
+  // would leave the connection unpolled forever.
+  const std::string file = (dir.path / "regular").string();
+  std::ofstream(file) << "x";
+  const int fd = ::open(file.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  EXPECT_THROW(server.adopt(fd), std::runtime_error);
+
+  // An adoptable connection still works, and so does the listener.
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  server.adopt(ends[0]);
+  server.start();
+  const std::string request = "{\"op\":\"codes\"}\n";
+  ASSERT_EQ(::send(ends[1], request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  char chunk[256];
+  const auto got = ::recv(ends[1], chunk, sizeof(chunk), 0);
+  ASSERT_GT(got, 0);
+  EXPECT_NE(std::string(chunk, static_cast<std::size_t>(got))
+                .find(R"("ok":true)"),
+            std::string::npos);
+  ::close(ends[1]);
+
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_line(R"({"op":"codes"})"));
+  EXPECT_NE(client.read_line().find(R"("ok":true)"), std::string::npos);
+  // adopt() is valid only before start().
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  EXPECT_THROW(server.adopt(ends[0]), std::runtime_error);
+  ::close(ends[1]);
+  server.stop();
+}
+
+TEST_F(ServeTcpTest, StopBeforeStartLeavesTheServerNeverStarted) {
+  // A shutdown signal can arrive between construction and start().
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.num_threads = 1;
+  {
+    TcpServer server([&] { return service; }, options);
+    server.stop();
+    server.start();  // No-op: nobody would join the threads it started.
+    server.wait();   // Returns at once: the server is stopped.
+    EXPECT_EQ(server.stats().accepted.load(), 0u);
+  }  // Destruction must not meet joinable threads (std::terminate).
+}
+
+TEST_F(ServeTcpTest, ServeLinesAnswersAnUnterminatedLastLine) {
+  const auto service = make_service();
+  std::istringstream in("{\"id\":1,\"op\":\"codes\"}\n\n{\"id\":2,\"op\":\"codes\"}");
+  std::ostringstream out;
+  EXPECT_EQ(serve_lines([&] { return service; }, in, out), 2u);
+  EXPECT_EQ(out.str(),
+            "{\"id\":1,\"ok\":true,\"codes\":[\"Steane\"]}\n"
+            "{\"id\":2,\"ok\":true,\"codes\":[\"Steane\"]}\n");
+}
+
+/// An output stream that takes `delay` per write: a consumer slower
+/// than the server's compute, like a pager on stdout.
+class SlowSink : public std::streambuf {
+ public:
+  explicit SlowSink(std::chrono::milliseconds delay) : delay_(delay) {}
+  const std::string& text() const { return text_; }
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize n) override {
+    std::this_thread::sleep_for(delay_);
+    text_.append(data, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (c != traits_type::eof()) {
+      text_.push_back(static_cast<char>(c));
+    }
+    return c;
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+  std::string text_;
+};
+
+TEST_F(ServeTcpTest, ServeLinesWaitsForASlowReaderInsteadOfDroppingOutput) {
+  const auto service = make_service();
+  std::string requests;
+  std::string expected;
+  constexpr int kRequests = 6000;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string request = "{\"id\":" + std::to_string(i) +
+                                ",\"op\":\"info\",\"code\":\"Steane\"}";
+    requests += request + "\n";
+    expected += service->handle_request(request) + "\n";
+  }
+  // The responses are many times the output limit: without output
+  // backpressure on reading, the backlog would pass the limit and the
+  // stream would be closed mid-answer.
+  TcpServerOptions options;
+  options.num_threads = 2;
+  options.max_output_bytes = 256u << 10;
+  ASSERT_GT(expected.size(), 8 * options.max_output_bytes);
+  std::istringstream in(requests);
+  SlowSink sink(std::chrono::milliseconds(5));
+  std::ostream out(&sink);
+  EXPECT_EQ(serve_lines([&] { return service; }, in, out, options),
+            static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(sink.text().size(), expected.size());
+  EXPECT_TRUE(sink.text() == expected) << "responses differ";
+}
+
+TEST_F(ServeTcpTest, ServeLinesThrowsWhenTheServerCutsTheStreamShort) {
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.num_threads = 1;
+  options.max_line_bytes = 1024;
+  // The bound applies to bytes buffered without a newline, so the line
+  // must outgrow one read chunk.
+  std::istringstream in("{\"op\":\"codes\"}\n" + std::string(1 << 17, 'x') +
+                        "\n{\"op\":\"codes\"}\n");
+  std::ostringstream out;
+  EXPECT_THROW(serve_lines([&] { return service; }, in, out, options),
+               std::runtime_error);
+}
+
+TEST_F(ServeTcpTest, ServeLinesReportsTheBoundMetricsPort) {
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.num_threads = 1;
+  options.metrics_enabled = true;  // metrics_port 0: kernel-assigned.
+  std::uint16_t reported = 0;
+  std::istringstream in("{\"op\":\"codes\"}\n");
+  std::ostringstream out;
+  EXPECT_EQ(serve_lines([&] { return service; }, in, out, options,
+                        [&](const TcpServer& server) {
+                          reported = server.metrics_port();
+                        }),
+            1u);
+  EXPECT_NE(reported, 0u);
+}
+
 }  // namespace
 }  // namespace ftsp::serve
-
-#else
-TEST(ServeTcp, SkippedOnThisPlatform) { GTEST_SKIP(); }
-#endif
