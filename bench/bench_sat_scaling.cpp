@@ -4,16 +4,15 @@
 // The paper notes SAT methods provide optimality but "exhibit poor
 // scalability"; this bench quantifies where the time goes.
 //
-// The BM_DepthSweep* family compares the synthesis engines on the
-// depth/weight-bound sweep workload (the (u, v) optimum search):
-//   SeedPath     — from-scratch re-encode per bound, sequential solver
-//                  (the historical single-shot path).
-//   Incremental  — skeleton encoded once, bounds swept via assumptions.
-//   Parallel8    — incremental + 4-config portfolio raced on 8 threads
+// The BM_DepthSweep* family times the depth/weight-bound sweep workload
+// (the (u, v) optimum search; skeleton encoded once per u, bounds swept
+// via assumptions) under three engine settings:
+//   Incremental  — sequential solver.
+//   Parallel8    — 4-config portfolio raced on 8 threads
 //                  (deterministic; thread count never changes results).
-//   Cached       — incremental + synthesis cache, modeling repeated
-//                  code-library / code_search runs (all iterations after
-//                  the first are cache hits).
+//   Cached       — synthesis cache on, modeling repeated code-library /
+//                  code_search runs (all iterations after the first are
+//                  cache hits).
 #include <benchmark/benchmark.h>
 
 #include "core/protocol.hpp"
@@ -70,20 +69,8 @@ void run_depth_sweep(benchmark::State& state,
   state.SetLabel(inst.label);
 }
 
-void BM_DepthSweepSeedPath(benchmark::State& state) {
-  core::VerificationSynthOptions options;
-  options.engine.incremental = false;
-  options.engine.use_cache = false;
-  run_depth_sweep(state, options);
-}
-BENCHMARK(BM_DepthSweepSeedPath)
-    ->DenseRange(0, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
 void BM_DepthSweepIncremental(benchmark::State& state) {
   core::VerificationSynthOptions options;
-  options.engine.incremental = true;
   options.engine.use_cache = false;
   run_depth_sweep(state, options);
 }
@@ -94,7 +81,6 @@ BENCHMARK(BM_DepthSweepIncremental)
 
 void BM_DepthSweepParallel8(benchmark::State& state) {
   core::VerificationSynthOptions options;
-  options.engine.incremental = true;
   options.engine.use_cache = false;
   options.engine.num_configs = 4;
   options.engine.num_threads = 8;
@@ -109,7 +95,6 @@ BENCHMARK(BM_DepthSweepParallel8)
 void BM_DepthSweepCached(benchmark::State& state) {
   core::SynthCache::instance().clear();
   core::VerificationSynthOptions options;
-  options.engine.incremental = true;
   options.engine.use_cache = true;
   run_depth_sweep(state, options);
 }

@@ -9,7 +9,7 @@
 
 namespace ftsp::core {
 
-/// Shared per-bound solve of the incremental sweeps: assumes
+/// Shared per-bound solve of the weight sweeps: assumes
 /// `ladder.at_most(v)` when the bound is binding (vacuous bounds solve
 /// unbounded) and records one telemetry step when a sink is supplied.
 inline bool solve_with_ladder_bound(sat::SolverBase& solver,
@@ -39,8 +39,8 @@ inline bool solve_with_ladder_bound(sat::SolverBase& solver,
 /// every v' >= v) and `weight_of(w)` is a bound at which `w` itself is a
 /// witness. On success the returned witness's weight equals the minimal
 /// feasible bound; returns an empty optional when even `vmax` fails.
-/// Works for both engines — incrementally (try_bound solving one shared
-/// skeleton under assumptions) or from scratch (try_bound re-encoding).
+/// Both callers' `try_bound` solves one shared skeleton under a
+/// cardinality-ladder assumption (`solve_with_ladder_bound`).
 template <typename TryBound, typename WeightOf>
 auto sweep_min_weight(std::size_t lo, std::size_t vmax, TryBound&& try_bound,
                       WeightOf&& weight_of) -> decltype(try_bound(vmax)) {

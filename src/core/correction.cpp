@@ -149,8 +149,7 @@ std::optional<CorrectionPlan> finalize(const qec::StateContext& state,
 }
 
 /// One encoded "u measurements separate every class" skeleton; the weight
-/// bound is either swept via a cardinality ladder (incremental mode) or
-/// fixed per instance (from-scratch mode).
+/// bound is swept via a cardinality ladder.
 struct CorrectionContext {
   std::unique_ptr<sat::SolverBase> solver;
   std::unique_ptr<CnfBuilder> cnf;
@@ -160,7 +159,7 @@ struct CorrectionContext {
 
   CorrectionContext(const qec::StateContext& state, PauliType type,
                     const Instance& inst, std::size_t num_measurements,
-                    const CorrectionSynthOptions& options, bool with_ladder)
+                    const CorrectionSynthOptions& options)
       : u(num_measurements) {
     const auto& generators = state.detector_generators(type);
     solver = sat::make_engine_solver(options.engine, options.conflict_budget);
@@ -221,10 +220,7 @@ struct CorrectionContext {
       }
     }
 
-    if (with_ladder) {
-      ladder = selection->make_total_weight_ladder(
-          u * state.num_qubits());
-    }
+    ladder = selection->make_total_weight_ladder(u * state.num_qubits());
   }
 
   bool solve_with_bound(std::size_t v,
@@ -244,29 +240,6 @@ struct CorrectionContext {
     return finalize(state, type, inst, std::move(measurements));
   }
 };
-
-/// One from-scratch decision query: u measurements of total weight <= v.
-std::optional<CorrectionPlan> query_fresh(
-    const qec::StateContext& state, PauliType type, const Instance& inst,
-    std::size_t u, std::size_t v, const CorrectionSynthOptions& options,
-    std::optional<sat::UnsatProof>* proof_out = nullptr) {
-  CorrectionContext ctx(state, type, inst, u, options,
-                        /*with_ladder=*/false);
-  ctx.selection->bound_total_weight(v);
-  const sat::SolverStats before = ctx.solver->stats();
-  const bool sat = ctx.solver->solve();
-  if (options.telemetry != nullptr) {
-    options.telemetry->steps.push_back(
-        {v, sat, ctx.solver->stats() - before});
-  }
-  if (!sat) {
-    if (proof_out != nullptr) {
-      *proof_out = ctx.solver->last_unsat_proof();
-    }
-    return std::nullopt;
-  }
-  return ctx.extract_plan(state, type, inst);
-}
 
 constexpr const char* kEmptyBits = "-";  // A zero-length bit vector.
 
@@ -390,17 +363,17 @@ std::optional<CorrectionPlan> synthesize_correction(
   };
   ProofSink* const sink = options.proof_sink;
   for (std::size_t u = 1; u <= options.max_measurements; ++u) {
-    std::optional<CorrectionPlan> best;
     // Proof capture: the binary-search invariant makes the
     // chronologically last UNSAT leg the one at v* - 1 (see
     // record_sweep_outcome), so stashing the latest refutation suffices.
     std::optional<sat::UnsatProof> last_unsat;
     std::size_t last_unsat_bound = 0;
     bool saw_unsat = false;
-    if (options.engine.incremental) {
+    std::optional<CorrectionPlan> best;
+    {
       // Encode the skeleton once; sweep the weight bound via assumptions.
-      CorrectionContext ctx(state, error_type, inst, u, options,
-                            /*with_ladder=*/true);
+      // Scoped so the solver is freed before the DRAT re-check below.
+      CorrectionContext ctx(state, error_type, inst, u, options);
       best = sweep_min_weight(
           /*lo=*/u, /*vmax=*/u * n,
           [&](std::size_t v) -> std::optional<CorrectionPlan> {
@@ -422,21 +395,6 @@ std::optional<CorrectionPlan> synthesize_correction(
         }
         SynthCache::instance().dump_cnf(key, *ctx.solver, bound);
       }
-    } else {
-      // From-scratch path: every bound re-encodes the CNF.
-      best = sweep_min_weight(
-          u, u * n,
-          [&](std::size_t v) {
-            auto result =
-                query_fresh(state, error_type, inst, u, v, options,
-                            sink != nullptr ? &last_unsat : nullptr);
-            if (sink != nullptr && !result.has_value()) {
-              saw_unsat = true;
-              last_unsat_bound = v;
-            }
-            return result;
-          },
-          weight_of);
     }
     if (sink != nullptr) {
       record_sweep_outcome(*sink, options.proof_label,

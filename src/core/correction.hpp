@@ -35,7 +35,8 @@ struct CorrectionPlan {
 struct CorrectionSynthOptions {
   std::size_t max_measurements = 4;
   std::uint64_t conflict_budget = 0;  ///< Per SAT query; 0 = unlimited.
-  /// SAT engine selection (incremental weight sweeps, portfolio, cache).
+  /// SAT engine selection (portfolio, cache). The weight bound is always
+  /// swept over one encoded skeleton via assumptions.
   sat::EngineOptions engine;
   /// Optional per-bound solver-statistics sink.
   sat::SweepTelemetry* telemetry = nullptr;

@@ -1,6 +1,7 @@
 #include "core/proof_capture.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "sat/dimacs.hpp"
@@ -50,6 +51,14 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
   return entry;
 }
 
+const sat::UnsatProof& require_proof(
+    const std::optional<sat::UnsatProof>& proof, const std::string& claim) {
+  if (!proof.has_value()) {
+    throw std::logic_error("UNSAT leg without a proof log: " + claim);
+  }
+  return *proof;
+}
+
 void record_sweep_outcome(ProofSink& sink, const std::string& stage,
                           const std::string& what, std::size_t u,
                           bool feasible, bool saw_unsat,
@@ -60,13 +69,8 @@ void record_sweep_outcome(ProofSink& sink, const std::string& stage,
     // anchoring the minimality of every larger feasible u.
     const std::string claim =
         "no " + std::to_string(u) + " " + what + " suffice at any total weight";
-    if (last_unsat.has_value()) {
-      sink.record(make_checked_proof(stage, claim, u, *last_unsat));
-    } else {
-      sink.record_absent(stage, claim,
-                         "cube-split portfolio solving keeps no "
-                         "single-solver proof log");
-    }
+    sink.record(
+        make_checked_proof(stage, claim, u, require_proof(last_unsat, claim)));
     return;
   }
   if (!saw_unsat) {
@@ -80,14 +84,8 @@ void record_sweep_outcome(ProofSink& sink, const std::string& stage,
   const std::string claim = "no " + std::to_string(u) + " " + what +
                             " of total weight <= " +
                             std::to_string(last_unsat_bound) + " suffice";
-  if (last_unsat.has_value()) {
-    sink.record(make_checked_proof(stage, claim, last_unsat_bound,
-                                   *last_unsat));
-  } else {
-    sink.record_absent(stage, claim,
-                       "cube-split portfolio solving keeps no "
-                       "single-solver proof log");
-  }
+  sink.record(make_checked_proof(stage, claim, last_unsat_bound,
+                                 require_proof(last_unsat, claim)));
 }
 
 }  // namespace ftsp::core

@@ -12,8 +12,7 @@ namespace ftsp::core {
 /// One optimality-anchoring SAT verdict captured during synthesis: either
 /// a checked DRAT refutation of "a better solution exists" (present), or
 /// an honest statement of why no machine-checkable proof exists for this
-/// stage (absent — heuristic paths, cache hits, structural lower bounds,
-/// cube-split portfolio solving).
+/// stage (absent — heuristic paths, cache hits, structural lower bounds).
 ///
 /// The premise ships as self-contained DIMACS with the query assumptions
 /// baked in as unit clauses, so re-checking needs no solver state: parse
@@ -58,6 +57,12 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
                                  std::size_t bound,
                                  const sat::UnsatProof& proof);
 
+/// The refutation of an UNSAT leg solved with proof logging on. Every
+/// engine keeps a proof log, so a missing one is a bug: throws
+/// std::logic_error naming `claim`.
+const sat::UnsatProof& require_proof(
+    const std::optional<sat::UnsatProof>& proof, const std::string& claim);
+
 /// Records the outcome of one (u, v) weight sweep at measurement count
 /// `u` — the shared epilogue of the verification and correction
 /// synthesis loops. The binary search's invariant makes the
@@ -67,6 +72,8 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
 /// (assumption-free) unbounded leg instead; a sweep with no UNSAT leg at
 /// all means the optimum sits on the structural lower bound and is
 /// recorded as honestly proof-free.
+/// Throws std::logic_error (via `require_proof`) when an UNSAT leg
+/// carries no proof.
 void record_sweep_outcome(ProofSink& sink, const std::string& stage,
                           const std::string& what, std::size_t u,
                           bool feasible, bool saw_unsat,

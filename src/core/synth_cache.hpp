@@ -42,12 +42,13 @@ namespace ftsp::core {
 ///
 /// Offline triage hook: when a dump directory is configured (via
 /// `set_dump_dir` or the `FTSP_SAT_DUMP_DIR` environment variable, read
-/// once at first use), cache misses that the incremental engine (the
-/// verification/correction default) solves to a feasible witness dump
-/// the CNF of their final query — problem clauses plus the bound
-/// assumptions as units — as DIMACS into that directory, named by the
-/// key hash. Infeasible or budget-interrupted queries are not dumped
-/// (their per-u contexts do not survive the search).
+/// once at first use), verification and correction cache misses that
+/// solve to a feasible witness dump the CNF of their final query —
+/// problem clauses plus the bound assumptions as units — as DIMACS into
+/// that directory, named by the key hash. Infeasible or
+/// budget-interrupted queries are not dumped (their per-u contexts do
+/// not survive the search), nor are prep queries (each gate count has
+/// its own short-lived solver).
 class SynthCache {
  public:
   /// Read-through: returns the stored value for a key, or nullopt.

@@ -26,10 +26,10 @@ std::size_t VerificationSet::total_weight() const {
 
 namespace {
 
-/// One encoded "u stabilizers detect all errors" skeleton. In incremental
-/// mode the total-weight bound is a cardinality ladder swept via
-/// assumptions, so the skeleton is encoded once per u and learned clauses
-/// carry across the whole (binary-search) weight sweep.
+/// One encoded "u stabilizers detect all errors" skeleton. The
+/// total-weight bound is a cardinality ladder swept via assumptions, so
+/// the skeleton is encoded once per u and learned clauses carry across
+/// the whole (binary-search) weight sweep.
 struct QueryContext {
   std::unique_ptr<sat::SolverBase> solver;
   std::unique_ptr<CnfBuilder> cnf;
@@ -39,7 +39,7 @@ struct QueryContext {
 
   QueryContext(const BitMatrix& generators, const std::vector<BitVec>& errors,
                std::size_t num_stabilizers,
-               const VerificationSynthOptions& options, bool with_ladder)
+               const VerificationSynthOptions& options)
       : u(num_stabilizers) {
     solver = sat::make_engine_solver(options.engine, options.conflict_budget);
     if (options.proof_sink != nullptr) {
@@ -69,9 +69,7 @@ struct QueryContext {
       }
       cnf->add_at_least_one(detecting);
     }
-    if (with_ladder) {
-      ladder = selection->make_total_weight_ladder(u * generators.cols());
-    }
+    ladder = selection->make_total_weight_ladder(u * generators.cols());
   }
 
   bool solve_with_bound(std::size_t v,
@@ -88,35 +86,10 @@ struct QueryContext {
   }
 };
 
-/// From-scratch decision query — the historical single-shot path, kept
-/// as the `engine.incremental = false` baseline.
-std::optional<VerificationSet> query_fresh(
-    const BitMatrix& generators, const std::vector<BitVec>& errors,
-    std::size_t u, std::size_t v, const VerificationSynthOptions& options,
-    std::optional<sat::UnsatProof>* proof_out = nullptr) {
-  QueryContext ctx(generators, errors, u, options, /*with_ladder=*/false);
-  ctx.selection->bound_total_weight(v);
-  const sat::SolverStats before = ctx.solver->stats();
-  const bool sat = ctx.solver->solve();
-  if (options.telemetry != nullptr) {
-    options.telemetry->steps.push_back(
-        {v, sat, ctx.solver->stats() - before});
-  }
-  if (!sat) {
-    if (proof_out != nullptr) {
-      *proof_out = ctx.solver->last_unsat_proof();
-    }
-    return std::nullopt;
-  }
-  return ctx.extract_set();
-}
-
 struct Optimum {
-  std::size_t u = 0;
   std::size_t v = 0;
   VerificationSet set;
-  /// The warm incremental context at (u, unbounded); null on the
-  /// from-scratch path.
+  /// The warm sweep context at (u, unbounded).
   std::unique_ptr<QueryContext> ctx;
 };
 
@@ -133,47 +106,27 @@ std::optional<Optimum> find_optimum(const BitMatrix& generators,
   };
   ProofSink* const sink = options.proof_sink;
   for (std::size_t u = 1; u <= options.max_measurements; ++u) {
-    std::unique_ptr<QueryContext> ctx;
-    std::optional<VerificationSet> best;
+    auto ctx = std::make_unique<QueryContext>(generators, errors, u, options);
     // Proof capture: the binary-search invariant makes the
     // chronologically last UNSAT leg the one at v* - 1 (see
     // record_sweep_outcome), so stashing the latest refutation suffices.
     std::optional<sat::UnsatProof> last_unsat;
     std::size_t last_unsat_bound = 0;
     bool saw_unsat = false;
-    if (options.engine.incremental) {
-      ctx = std::make_unique<QueryContext>(generators, errors, u, options,
-                                           /*with_ladder=*/true);
-      best = sweep_min_weight(
-          /*lo=*/u, /*vmax=*/u * n,  // Each stabilizer has weight >= 1.
-          [&](std::size_t v) -> std::optional<VerificationSet> {
-            if (!ctx->solve_with_bound(v, options)) {
-              if (sink != nullptr) {
-                saw_unsat = true;
-                last_unsat = ctx->solver->last_unsat_proof();
-                last_unsat_bound = v;
-              }
-              return std::nullopt;
-            }
-            return ctx->extract_set();
-          },
-          weight_of);
-    } else {
-      // From-scratch path: every bound re-encodes the CNF.
-      best = sweep_min_weight(
-          u, u * n,
-          [&](std::size_t v) {
-            auto result =
-                query_fresh(generators, errors, u, v, options,
-                            sink != nullptr ? &last_unsat : nullptr);
-            if (sink != nullptr && !result.has_value()) {
+    auto best = sweep_min_weight(
+        /*lo=*/u, /*vmax=*/u * n,  // Each stabilizer has weight >= 1.
+        [&](std::size_t v) -> std::optional<VerificationSet> {
+          if (!ctx->solve_with_bound(v, options)) {
+            if (sink != nullptr) {
               saw_unsat = true;
+              last_unsat = ctx->solver->last_unsat_proof();
               last_unsat_bound = v;
             }
-            return result;
-          },
-          weight_of);
-    }
+            return std::nullopt;
+          }
+          return ctx->extract_set();
+        },
+        weight_of);
     if (sink != nullptr) {
       record_sweep_outcome(*sink, options.proof_label,
                            "verification measurements", u, best.has_value(),
@@ -183,7 +136,6 @@ std::optional<Optimum> find_optimum(const BitMatrix& generators,
       continue;
     }
     Optimum optimum;
-    optimum.u = u;
     optimum.v = best->total_weight();
     optimum.set = *std::move(best);
     optimum.ctx = std::move(ctx);
@@ -270,13 +222,11 @@ std::optional<VerificationSet> synthesize_verification(
     return std::nullopt;
   }
   if (options.engine.use_cache) {
-    if (optimum->ctx != nullptr) {
-      std::vector<sat::Lit> bound;
-      if (optimum->v < optimum->ctx->ladder.max_bound()) {
-        bound.push_back(optimum->ctx->ladder.at_most(optimum->v));
-      }
-      SynthCache::instance().dump_cnf(key, *optimum->ctx->solver, bound);
+    std::vector<sat::Lit> bound;
+    if (optimum->v < optimum->ctx->ladder.max_bound()) {
+      bound.push_back(optimum->ctx->ladder.at_most(optimum->v));
     }
+    SynthCache::instance().dump_cnf(key, *optimum->ctx->solver, bound);
     SynthCache::instance().store(key, encode_set(optimum->set));
   }
   return std::move(optimum->set);
@@ -294,23 +244,12 @@ std::vector<VerificationSet> enumerate_optimal_verifications(
   if (!optimum.has_value()) {
     return {};
   }
-  const auto [u, v] = std::pair{optimum->u, optimum->v};
 
   // Enumerate models at the optimum, blocking each found selection. The
-  // incremental sweep context is reused warm (the bound becomes a hard
-  // unit); the from-scratch path re-encodes once, as before.
-  std::unique_ptr<QueryContext> fresh;
+  // sweep context is reused warm; the bound becomes a hard unit.
   QueryContext* ctx = optimum->ctx.get();
-  if (ctx != nullptr) {
-    if (v < ctx->ladder.max_bound()) {
-      ctx->solver->add_unit(ctx->ladder.at_most(v));
-    }
-  } else {
-    fresh = std::make_unique<QueryContext>(candidate_generators,
-                                           dangerous_errors, u, options,
-                                           /*with_ladder=*/false);
-    fresh->selection->bound_total_weight(v);
-    ctx = fresh.get();
+  if (optimum->v < ctx->ladder.max_bound()) {
+    ctx->solver->add_unit(ctx->ladder.at_most(optimum->v));
   }
 
   std::vector<VerificationSet> results;

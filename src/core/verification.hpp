@@ -28,8 +28,9 @@ struct VerificationSynthOptions {
   std::size_t max_measurements = 5;
   std::uint64_t conflict_budget = 0;   ///< Per SAT query; 0 = unlimited.
   std::size_t enumerate_limit = 128;   ///< Cap for all-optimal enumeration.
-  /// SAT engine selection: incremental bound sweeps, portfolio size,
-  /// thread count, cube splitting, cache use.
+  /// SAT engine selection: portfolio size, thread count, cache use. The
+  /// weight bound is always swept over one encoded skeleton per
+  /// measurement count via assumptions.
   sat::EngineOptions engine;
   /// Optional sink recording one entry per bound query with the solver
   /// statistics delta attributable to it.

@@ -5,6 +5,7 @@
 #include "f2/gauss.hpp"
 #include "qec/code_library.hpp"
 #include "qec/state_context.hpp"
+#include "sweep_oracle.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -168,6 +169,37 @@ TEST(Correction, LexicographicOptimality) {
     EXPECT_TRUE(plan->measurements.empty());
   } else {
     EXPECT_EQ(plan->measurements.size(), 1u);
+  }
+}
+
+/// The sweep's (u*, v*) for one class per code must match a from-scratch
+/// hard-bound encoding with an exhaustive recovery pool: SAT at v*,
+/// UNSAT at v* - 1, UNSAT for u* - 1 measurements (for u* = 1, the
+/// exhaustive common-recovery scan rules out u = 0).
+TEST(Correction, SweepOptimumMatchesFromScratchOracle) {
+  const auto steane = qec::steane();
+  const auto surface = qec::surface3();
+  const qec::StateContext steane_state(steane, LogicalBasis::Zero);
+  const qec::StateContext surface_state(surface, LogicalBasis::Zero);
+  const std::pair<const qec::StateContext*, std::vector<BitVec>> classes[] = {
+      {&steane_state,
+       {BitVec(7), BitVec::from_string("1100000"),
+        BitVec::from_string("1110000")}},
+      {&surface_state,
+       {BitVec(9), BitVec::from_string("110000000"),
+        BitVec::from_string("100100000"), BitVec::from_string("001000100")}},
+  };
+  for (const auto& [state, errors] : classes) {
+    SCOPED_TRACE(state->code().name());
+    CorrectionSynthOptions options;
+    options.engine.use_cache = false;
+    const auto plan =
+        synthesize_correction(*state, PauliType::X, errors, options);
+    ASSERT_TRUE(plan.has_value());
+    expect_plan_valid(*state, PauliType::X, errors, *plan);
+    ASSERT_FALSE(plan->measurements.empty());
+    EXPECT_FALSE(common_recovery_exists(*state, PauliType::X, errors));
+    oracle::expect_correction_optimum(*state, PauliType::X, errors, *plan);
   }
 }
 

@@ -5,11 +5,13 @@
 
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "compile/artifact.hpp"
 #include "compile/store.hpp"
+#include "core/proof_capture.hpp"
 #include "core/synth_cache.hpp"
 #include "qec/code_library.hpp"
 #include "sat/dimacs.hpp"
@@ -304,22 +306,28 @@ TEST(ProofLogging, ParallelSolverVerdictIdenticalOnOff) {
   EXPECT_EQ(stats[0].propagations, stats[1].propagations);
 }
 
-TEST(ProofLogging, CubeModeReportsNoProof) {
-  ParallelSolverOptions options;
-  options.cube_vars = 2;
-  ParallelSolver s(options);
-  s.set_proof_logging(true);
-  add_pigeonhole(s, 4, 3);
-  EXPECT_FALSE(s.solve());
-  EXPECT_FALSE(s.last_unsat_proof().has_value());
-}
-
 TEST(ProofLogging, DisabledReportsNoProof) {
   Solver s;
   add_pigeonhole(s, 4, 3);
   EXPECT_FALSE(s.solve());
   EXPECT_FALSE(s.proof_logging());
   EXPECT_FALSE(s.last_unsat_proof().has_value());
+}
+
+/// Every engine keeps a proof log, so an UNSAT leg recorded without one
+/// is a bug, never an honest absent entry.
+TEST(ProofLogging, UnsatLegWithoutProofThrows) {
+  core::ProofSink sink;
+  const std::optional<UnsatProof> none;
+  EXPECT_THROW(core::record_sweep_outcome(sink, "verif", "measurements", 2,
+                                          /*feasible=*/true,
+                                          /*saw_unsat=*/true, none, 5),
+               std::logic_error);
+  EXPECT_THROW(core::record_sweep_outcome(sink, "verif", "measurements", 1,
+                                          /*feasible=*/false,
+                                          /*saw_unsat=*/true, none, 7),
+               std::logic_error);
+  EXPECT_TRUE(sink.proofs.empty());
 }
 
 // --- End-to-end capture: weight-sweep legs through the compiler ----------

@@ -1,6 +1,7 @@
-// Stress tier: cross-checks the incremental sweep engine against
-// from-scratch encodes over the full code library, the SAT prep path
-// between engines, and protocol-level determinism at 1/2/8 threads.
+// Stress tier: cross-checks the sweep's verification optima against
+// from-scratch hard-bound encodes over the full code library, checks the
+// SAT prep path against the tableau simulator, and protocol-level
+// determinism at 1/2/8 threads.
 #include <gtest/gtest.h>
 
 #include "core/ft_check.hpp"
@@ -12,6 +13,7 @@
 #include "qec/code_library.hpp"
 #include "qec/state_context.hpp"
 #include "sim/tableau.hpp"
+#include "sweep_oracle.hpp"
 
 #include <random>
 
@@ -25,8 +27,9 @@ using qec::PauliType;
 class SweepCrosscheckAllCodes : public ::testing::TestWithParam<const char*> {
 };
 
-/// Incremental and from-scratch engines must agree on the (u, v) optimum
-/// for every library code, and both sets must detect every dangerous
+/// The sweep's (u, v) optimum must match a from-scratch hard-bound
+/// encoding for every library code (SAT at v*, UNSAT at v* - 1, UNSAT
+/// for u* - 1 measurements), and the set must detect every dangerous
 /// error.
 TEST_P(SweepCrosscheckAllCodes, VerificationOptimaMatch) {
   const auto code = qec::library_code_by_name(GetParam());
@@ -40,28 +43,18 @@ TEST_P(SweepCrosscheckAllCodes, VerificationOptimaMatch) {
   }
   const auto& generators = state.detector_generators(PauliType::X);
 
-  VerificationSynthOptions incremental;
-  incremental.engine.incremental = true;
-  incremental.engine.use_cache = false;
-  VerificationSynthOptions fresh;
-  fresh.engine.incremental = false;
-  fresh.engine.use_cache = false;
-
-  const auto a = synthesize_verification(generators, dangerous, incremental);
-  const auto b = synthesize_verification(generators, dangerous, fresh);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->count(), b->count());
-  EXPECT_EQ(a->total_weight(), b->total_weight());
-  for (const auto* set : {&*a, &*b}) {
-    for (const BitVec& e : dangerous) {
-      bool detected = false;
-      for (const BitVec& s : set->stabilizers) {
-        detected = detected || s.dot(e);
-      }
-      EXPECT_TRUE(detected) << "undetected " << e.to_string();
+  VerificationSynthOptions options;
+  options.engine.use_cache = false;
+  const auto set = synthesize_verification(generators, dangerous, options);
+  ASSERT_TRUE(set.has_value());
+  for (const BitVec& e : dangerous) {
+    bool detected = false;
+    for (const BitVec& s : set->stabilizers) {
+      detected = detected || s.dot(e);
     }
+    EXPECT_TRUE(detected) << "undetected " << e.to_string();
   }
+  oracle::expect_verification_optimum(generators, dangerous, *set);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,64 +72,31 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// Protocol synthesis through the incremental engine stays fault-tolerant
-/// and matches the from-scratch engine's headline metrics.
-TEST(SweepCrosscheck, ProtocolMetricsMatchAcrossEngines) {
-  for (const char* name : {"Steane", "Surface_3", "Tetrahedral"}) {
-    const auto code = qec::library_code_by_name(name);
-    SynthesisOptions incremental;
-    incremental.verification.engine.incremental = true;
-    incremental.verification.engine.use_cache = false;
-    incremental.correction.engine.incremental = true;
-    incremental.correction.engine.use_cache = false;
-    SynthesisOptions fresh;
-    fresh.verification.engine.incremental = false;
-    fresh.verification.engine.use_cache = false;
-    fresh.correction.engine.incremental = false;
-    fresh.correction.engine.use_cache = false;
-
-    const auto a =
-        synthesize_protocol(code, LogicalBasis::Zero, incremental);
-    const auto b = synthesize_protocol(code, LogicalBasis::Zero, fresh);
-    const auto ma = compute_metrics(a);
-    const auto mb = compute_metrics(b);
-    EXPECT_EQ(ma.total_verif_ancillas, mb.total_verif_ancillas) << name;
-    EXPECT_EQ(ma.total_verif_cnots, mb.total_verif_cnots) << name;
-    EXPECT_TRUE(check_fault_tolerance(a).ok) << name;
-  }
-}
-
-/// The SAT prep path (BFS shortcut disabled): both engines find the same
-/// minimal CNOT count and a correct circuit, on a code small enough for
-/// the gate-slot search.
+/// The SAT prep path (BFS shortcut disabled) finds the minimal CNOT
+/// count and a correct circuit, on a code small enough for the gate-slot
+/// search.
 TEST(SweepCrosscheck, SatPrepPathEnginesAgree) {
   const auto code = qec::CssCode(
       "[[4,2,2]]", f2::BitMatrix::from_strings({"1111"}),
       f2::BitMatrix::from_strings({"1111"}));
   const qec::StateContext state(code, LogicalBasis::Zero);
-  std::optional<std::size_t> counts[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    PrepSynthOptions options;
-    options.method = PrepSynthOptions::Method::Optimal;
-    options.allow_bfs = false;
-    options.engine.incremental = mode == 1;
-    options.engine.use_cache = false;
-    const auto prep = synthesize_prep_optimal(state, options);
-    ASSERT_TRUE(prep.has_value()) << "mode " << mode;
-    counts[mode] = prep->cnot_count();
-    // Ground truth: the circuit prepares the target state.
-    sim::Tableau tableau(prep->num_qubits());
-    std::mt19937_64 rng(7);
-    tableau.run(*prep, rng);
-    const auto& xgens = state.stabilizer_generators(PauliType::X);
-    for (std::size_t i = 0; i < xgens.rows(); ++i) {
-      qec::Pauli p(state.num_qubits());
-      p.x = xgens.row(i);
-      EXPECT_TRUE(tableau.stabilizes(p));
-    }
+  PrepSynthOptions options;
+  options.method = PrepSynthOptions::Method::Optimal;
+  options.allow_bfs = false;
+  options.engine.use_cache = false;
+  const auto prep = synthesize_prep_optimal(state, options);
+  ASSERT_TRUE(prep.has_value());
+  // Ground truth: the circuit prepares the target state.
+  sim::Tableau tableau(prep->num_qubits());
+  std::mt19937_64 rng(7);
+  tableau.run(*prep, rng);
+  const auto& xgens = state.stabilizer_generators(PauliType::X);
+  for (std::size_t i = 0; i < xgens.rows(); ++i) {
+    qec::Pauli p(state.num_qubits());
+    p.x = xgens.row(i);
+    EXPECT_TRUE(tableau.stabilizes(p));
   }
-  EXPECT_EQ(*counts[0], *counts[1]);
-  EXPECT_EQ(*counts[0], 3u);  // |+> fan-out over the weight-4 stabilizer.
+  EXPECT_EQ(prep->cnot_count(), 3u);  // |+> fan-out over the weight-4 row.
 }
 
 /// End-to-end determinism: the full protocol synthesized through the
@@ -149,7 +109,6 @@ TEST(SweepCrosscheck, ProtocolIsThreadCountInvariant) {
     SynthesisOptions options;
     for (auto* engine : {&options.verification.engine,
                          &options.correction.engine}) {
-      engine->incremental = true;
       engine->use_cache = false;
       engine->num_configs = 4;
       engine->num_threads = threads;
