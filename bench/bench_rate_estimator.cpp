@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
         core::sample_protocol_batch(executor, decoder, p, naive_shots, 42);
     std::uint64_t naive_fails = 0;
     for (const auto& t : batch.trajectories) {
-      naive_fails += t.x_fail;
+      naive_fails +=
+          qec::flips_prepared_state(batch.basis, t.x_fail, t.z_fail);
     }
     const double naive_ms = ms_since(t_naive);
     const auto naive_interval =

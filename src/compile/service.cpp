@@ -373,7 +373,7 @@ std::string ServiceOps::rate(const ProtocolService&, const Entry* entry,
   // Stratified fault-sector estimation (see core/rate_estimator.hpp):
   // exhaustive small sectors + adaptively allocated conditional
   // sampling, served from the artifact's precomputed layout and run
-  // in bounded chunk_shots waves so one request's footprint stays
+  // in bounded kWaveShots waves so one request's footprint stays
   // flat regardless of its budget. "shots" caps the Monte-Carlo lane
   // budget; "rel_err" is the convergence target. A p_min/p_max/
   // p_points triple requests a log-spaced sweep answered from ONE

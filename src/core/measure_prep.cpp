@@ -94,7 +94,9 @@ MeasurePrepStats sample_measure_prep(const MeasurementBasedPrep& prep,
             prep.outcome_fixes.row(i);
       }
     }
-    if (decoder.decode(error).x_flip) {
+    const auto logical = decoder.decode(error);
+    if (qec::flips_prepared_state(state.basis(), logical.x_flip,
+                                  logical.z_flip)) {
       ++failures;
     }
   }

@@ -34,14 +34,16 @@ MeasurementBasedPrep synthesize_measure_prep(
     const qec::StateContext& state);
 
 struct MeasurePrepStats {
-  double logical_error_rate = 0.0;  ///< Paper's X-flip criterion.
+  /// Failure rate under the state's basis (`qec::flips_prepared_state`).
+  double logical_error_rate = 0.0;
   std::size_t shots = 0;
   std::size_t ancillas = 0;
   std::size_t cnots = 0;
 };
 
 /// Monte-Carlo logical error rate of the one-round scheme under E1_1
-/// noise of strength p (perfect final EC round, Z-basis readout).
+/// noise of strength p (perfect final EC round, then a destructive
+/// readout in the prepared basis).
 MeasurePrepStats sample_measure_prep(const MeasurementBasedPrep& prep,
                                      const qec::StateContext& state,
                                      const decoder::PerfectDecoder& decoder,

@@ -62,7 +62,9 @@ NonDetStats sample_nondet(const Protocol& protocol,
       continue;
     }
     ++stats.accepted;
-    if (decoder.decode(attempt.data_error).x_flip) {
+    const auto logical = decoder.decode(attempt.data_error);
+    if (qec::flips_prepared_state(protocol.basis, logical.x_flip,
+                                  logical.z_flip)) {
       ++failures;
     }
   }

@@ -112,11 +112,10 @@ class WaveRunner {
     } else {
       run_width<sim::SimdWord>(injector, wave.shots, out.data());
     }
+    const qec::LogicalBasis basis = executor_.protocol().basis;
     for (std::size_t lane = 0; lane < wave.shots; ++lane) {
-      const Trajectory& t = out[lane];
-      const bool fail =
-          options_.x_criterion ? t.x_fail : (t.x_fail || t.z_fail);
-      if (!fail) {
+      if (!qec::flips_prepared_state(basis, out[lane].x_fail,
+                                     out[lane].z_fail)) {
         continue;
       }
       if (!wave.case_weights.empty()) {
@@ -164,13 +163,12 @@ struct CaseFault {
   std::uint32_t op = 0;
 };
 
-/// Chunks enumerated cases into bounded waves.
+/// Chunks enumerated cases into `kWaveShots`-bounded waves.
 struct WaveBuilder {
   std::vector<Wave>& waves;
-  std::size_t chunk;
 
   void add(const CaseFault* faults, std::size_t k, double weight) {
-    if (waves.empty() || waves.back().shots == chunk) {
+    if (waves.empty() || waves.back().shots == kWaveShots) {
       waves.emplace_back();
     }
     Wave& wave = waves.back();
@@ -181,6 +179,8 @@ struct WaveBuilder {
     wave.case_weights.push_back(weight);
   }
 };
+
+static_assert(kMaxExhaustiveK == 2, "for_each_case enumerates k = 1, 2");
 
 /// Exhaustive case enumeration for sectors k = 1, 2 — every location
 /// subset of size k (restricted to kinds with nonzero rate) crossed
@@ -212,33 +212,29 @@ void for_each_case(const SiteIndex& index, const sim::SectorModel& model,
     }
     return;
   }
-  if (k == 2) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const double ri = odds_of(i);
-      if (ri <= 0.0) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const double ri = odds_of(i);
+    if (ri <= 0.0) {
+      continue;
+    }
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      const double rj = odds_of(j);
+      if (rj <= 0.0) {
         continue;
       }
-      for (std::uint32_t j = i + 1; j < n; ++j) {
-        const double rj = odds_of(j);
-        if (rj <= 0.0) {
-          continue;
-        }
-        const double weight =
-            ri * rj / ek /
-            static_cast<double>(index.sites[i].num_ops) /
-            static_cast<double>(index.sites[j].num_ops);
-        for (std::uint32_t oi = 0; oi < index.sites[i].num_ops; ++oi) {
-          for (std::uint32_t oj = 0; oj < index.sites[j].num_ops; ++oj) {
-            faults[0] = {i, oi};
-            faults[1] = {j, oj};
-            emit(faults, 2, weight);
-          }
+      const double weight =
+          ri * rj / ek /
+          static_cast<double>(index.sites[i].num_ops) /
+          static_cast<double>(index.sites[j].num_ops);
+      for (std::uint32_t oi = 0; oi < index.sites[i].num_ops; ++oi) {
+        for (std::uint32_t oj = 0; oj < index.sites[j].num_ops; ++oj) {
+          faults[0] = {i, oi};
+          faults[1] = {j, oj};
+          emit(faults, 2, weight);
         }
       }
     }
-    return;
   }
-  throw std::logic_error("for_each_case: only k <= 2 is enumerable");
 }
 
 std::uint64_t count_cases(const SiteIndex& index,
@@ -352,14 +348,15 @@ std::uint64_t wave_seed(std::uint64_t seed, std::uint32_t k,
 }
 
 /// Builds (but does not run) `shots` sampled lanes of sector `data.k`,
-/// split into chunk-bounded waves with deterministic per-wave seeds.
+/// split into `kWaveShots`-bounded waves with deterministic per-wave
+/// seeds.
 std::vector<Wave> build_sampled_waves(const SiteIndex& index,
                                       SectorData& data, std::size_t shots,
                                       const RateOptions& options) {
   std::vector<Wave> waves;
   std::vector<std::uint32_t> scratch;
   while (shots > 0) {
-    const std::size_t count = std::min(shots, options.chunk_shots);
+    const std::size_t count = std::min(shots, kWaveShots);
     shots -= count;
     Wave wave;
     wave.shots = count;
@@ -375,8 +372,7 @@ std::vector<Wave> build_sampled_waves(const SiteIndex& index,
 
 RateEstimate combine(const std::vector<SectorData>& sectors,
                      const sim::SectorModel::KindCounts& counts,
-                     const sim::NoiseParams& p, std::size_t covered_k,
-                     const RateOptions& options) {
+                     const sim::NoiseParams& p, std::size_t covered_k) {
   const sim::SectorModel model(counts, p);
   const std::vector<double> all_weights = model.weights(covered_k);
   RateEstimate estimate;
@@ -409,7 +405,7 @@ RateEstimate combine(const std::vector<SectorData>& sectors,
       estimate.exhaustive_cases += data.cases;
     } else {
       const auto interval =
-          sim::clopper_pearson(data.fails, data.shots, options.alpha);
+          sim::clopper_pearson(data.fails, data.shots, kRateCiAlpha);
       sector.ci_low = interval.low;
       sector.ci_high = interval.high;
       estimate.mc_shots += data.shots;
@@ -435,10 +431,9 @@ std::vector<RateEstimate> run_estimator(
     const sim::NoiseParams& q, const std::vector<sim::NoiseParams>& targets,
     const RateOptions& options) {
   validate_rates(q, "estimate_logical_error_rate");
-  if (options.chunk_shots == 0 || options.rel_err <= 0.0) {
+  if (!(options.rel_err > 0.0)) {  // Negated so NaN is rejected too.
     throw std::invalid_argument(
-        "estimate_logical_error_rate: chunk_shots and rel_err must be "
-        "positive");
+        "estimate_logical_error_rate: rel_err must be positive");
   }
 
   const WaveRunner runner(executor, decoder, options);
@@ -449,7 +444,7 @@ std::vector<RateEstimate> run_estimator(
   std::size_t covered_k = 0;
   const auto k_cap = static_cast<std::size_t>(
       std::min<std::uint64_t>(model.total_locations(), kMaxSectors));
-  while (covered_k < k_cap && model.tail(covered_k) > options.tail_epsilon) {
+  while (covered_k < k_cap && model.tail(covered_k) > kTailEpsilon) {
     ++covered_k;
   }
 
@@ -457,18 +452,18 @@ std::vector<RateEstimate> run_estimator(
   const std::vector<double> anchor_weights = model.weights(covered_k);
 
   // --- Exhaustive sectors: k = 0 (one noiseless lane) and every k <=
-  // max_exhaustive_k whose case count fits the budget. Each sector owns
+  // kMaxExhaustiveK whose case count fits the budget. Each sector owns
   // its waves, so the weighted fail sums attribute cleanly.
   std::size_t first_sampled_k = 1;
   for (std::size_t k = 0;
-       k <= std::min(options.max_exhaustive_k, covered_k); ++k) {
+       k <= std::min(kMaxExhaustiveK, covered_k); ++k) {
     std::uint64_t cases = 1;
     if (k > 0) {
       if (anchor_weights[k] <= 0.0) {
         break;
       }
       cases = count_cases(index, model, k);
-      if (cases == 0 || cases > options.exhaustive_budget) {
+      if (cases == 0 || cases > kExhaustiveBudget) {
         break;
       }
     }
@@ -477,7 +472,7 @@ std::vector<RateEstimate> run_estimator(
     data.exhaustive = true;
     data.cases = cases;
     std::vector<Wave> waves;
-    WaveBuilder builder{waves, options.chunk_shots};
+    WaveBuilder builder{waves};
     if (k == 0) {
       const CaseFault none{};
       builder.add(&none, 0, 1.0);
@@ -505,7 +500,7 @@ std::vector<RateEstimate> run_estimator(
     data.k = static_cast<std::uint32_t>(k);
     data.split_cdf = model.kind_split_cdf(k);
     const std::size_t initial = std::min<std::size_t>(
-        options.min_sector_shots,
+        kMinSectorShots,
         budget > spent ? budget - spent : 0);
     if (initial > 0) {
       std::vector<Wave> waves =
@@ -578,7 +573,7 @@ std::vector<RateEstimate> run_estimator(
       break;
     }
     const std::size_t chunk =
-        std::min<std::size_t>(options.chunk_shots, budget - spent);
+        std::min<std::size_t>(kWaveShots, budget - spent);
     // Marginal variance reduction of adding `chunk` shots to sector i:
     // w_i^2 * v_i * (1 - n_i / (n_i + chunk)); a never-sampled sector
     // scores with the worst-case Bernoulli variance so it is always
@@ -629,7 +624,7 @@ std::vector<RateEstimate> run_estimator(
   estimates.reserve(targets.size());
   for (const sim::NoiseParams& target : targets) {
     estimates.push_back(
-        combine(sectors, index.counts, target, covered_k, options));
+        combine(sectors, index.counts, target, covered_k));
   }
   return estimates;
 }

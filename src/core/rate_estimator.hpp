@@ -11,6 +11,30 @@
 
 namespace ftsp::core {
 
+// Fixed parameters of the stratified estimator; `RateOptions` below
+// holds the settable ones.
+
+/// Two-sided level of the per-sector Clopper-Pearson intervals.
+inline constexpr double kRateCiAlpha = 0.05;
+/// Initial shots per sampled sector before adaptive allocation.
+inline constexpr std::size_t kMinSectorShots = 2048;
+/// Lanes per planted wave — the unit of memory and of adaptive
+/// allocation. Bounded waves keep the estimator's footprint flat no
+/// matter the budget (the serving path's backpressure).
+inline constexpr std::size_t kWaveShots = std::size_t{1} << 14;
+/// A sector is enumerated exhaustively when its weighted case count
+/// (sum over location subsets of the fault-op product) fits this
+/// budget...
+inline constexpr std::uint64_t kExhaustiveBudget = std::uint64_t{1} << 20;
+/// ...and its fault count is at most this (sector 0 is a single
+/// noiseless run; sectors 1 and 2 enumerate every single fault and
+/// every fault pair).
+inline constexpr std::size_t kMaxExhaustiveK = 2;
+/// Sectors beyond the covered range carry at most this probability
+/// mass; the cutoff is reported as `tail_weight` and added to the
+/// upper confidence limit (f_k <= 1 bounds the truncation bias).
+inline constexpr double kTailEpsilon = 1e-12;
+
 /// Controls for the stratified fault-sector logical-error-rate
 /// estimator. The estimator decomposes circuit-level noise by total
 /// fault count k (see `sim::SectorModel`), enumerates the small sectors
@@ -18,37 +42,17 @@ namespace ftsp::core {
 /// rest with adaptively allocated per-sector shot budgets, and combines
 /// everything into an unbiased estimate with Clopper-Pearson intervals.
 /// At low p this replaces the ~1/p_L shots of naive Monte Carlo with a
-/// few exact sector sums plus small conditioned samples.
+/// few exact sector sums plus small conditioned samples. A run counts as
+/// a logical failure under the protocol's prepared basis
+/// (`qec::flips_prepared_state`).
 struct RateOptions {
   /// Stop once std_error <= rel_err * p_logical (or the budget runs out).
   double rel_err = 0.05;
-  /// Two-sided level of the per-sector Clopper-Pearson intervals.
-  double alpha = 0.05;
   /// Total Monte-Carlo lane budget across all sampled sectors.
   std::size_t max_shots = std::size_t{1} << 22;
-  /// Initial shots per sampled sector before adaptive allocation.
-  std::size_t min_sector_shots = 2048;
-  /// Lanes per planted wave — the unit of memory and of adaptive
-  /// allocation. Bounded waves keep the estimator's footprint flat no
-  /// matter the budget (the serving path's backpressure knob).
-  std::size_t chunk_shots = std::size_t{1} << 14;
-  /// A sector is enumerated exhaustively when its weighted case count
-  /// (sum over location subsets of the fault-op product) fits this
-  /// budget...
-  std::size_t exhaustive_budget = std::size_t{1} << 20;
-  /// ...and its fault count is at most this (0..2 supported; sector 0
-  /// is a single noiseless run).
-  std::size_t max_exhaustive_k = 2;
-  /// Sectors beyond the covered range carry at most this probability
-  /// mass; the cutoff is reported as `tail_weight` and added to the
-  /// upper confidence limit (f_k <= 1 bounds the truncation bias).
-  double tail_epsilon = 1e-12;
   std::uint64_t seed = 1;
   /// Worker threads for wave batches; 0 = hardware concurrency.
   std::size_t num_threads = 1;
-  /// Paper's |0>_L criterion (logical X flips only) when true; any
-  /// logical flip otherwise.
-  bool x_criterion = true;
   WordWidth width = WordWidth::Auto;
   /// Optional precomputed layout (artifact-driven serving), validated
   /// against the protocol exactly like `SamplerOptions::layout`.

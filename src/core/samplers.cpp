@@ -41,7 +41,9 @@ double log_density(const Trajectory& t, const sim::NoiseParams& r) {
 
 void validate_rates(const sim::NoiseParams& q) {
   for (double rate : q.rates) {
-    if (rate < 0.0 || rate >= 1.0) {
+    // Negated comparison so NaN (for which both q < x and q > x are
+    // false) fails validation instead of flowing through the math.
+    if (!(rate >= 0.0) || rate >= 1.0) {
       throw std::invalid_argument(
           "sample_protocol_batch: rates must be in [0,1)");
     }
@@ -61,11 +63,10 @@ void run_batched(const Executor& executor,
   const detail::SegmentCounts counts(executor.protocol(), options.layout);
   const detail::DecodeTables tables(decoder);
   const detail::KindMaskTables masks(q);
-  const std::size_t shard = options.shard_shots;
-  const std::size_t num_shards = (shots + shard - 1) / shard;
+  const std::size_t num_shards = (shots + kShardShots - 1) / kShardShots;
   const auto run_shard = [&](std::size_t index) {
-    const std::size_t begin = index * shard;
-    const std::size_t count = std::min(shard, shots - begin);
+    const std::size_t begin = index * kShardShots;
+    const std::size_t count = std::min(kShardShots, shots - begin);
     Trajectory* out = batch.trajectories.data() + begin;
     detail::BernoulliInjector injector(q, masks, out,
                                        detail::shard_seed(seed, index));
@@ -99,13 +100,10 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       std::size_t shots, std::uint64_t seed,
                                       const SamplerOptions& options) {
   validate_rates(q);
-  if (options.shard_shots == 0) {
-    throw std::invalid_argument(
-        "sample_protocol_batch: shard_shots must be positive");
-  }
 
   TrajectoryBatch batch;
   batch.q = q;
+  batch.basis = executor.protocol().basis;
   batch.trajectories.assign(shots, Trajectory{});
   if (shots == 0) {
     return batch;
@@ -126,7 +124,7 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       double q, std::size_t shots,
                                       std::uint64_t seed,
                                       const SamplerOptions& options) {
-  if (q <= 0.0 || q >= 1.0) {
+  if (!(q > 0.0) || q >= 1.0) {  // Negated so NaN is rejected too.
     throw std::invalid_argument("sample_protocol_batch: q must be in (0,1)");
   }
   return sample_protocol_batch(executor, decoder, sim::NoiseParams::e1_1(q),
@@ -142,6 +140,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 
   TrajectoryBatch batch;
   batch.q = q;
+  batch.basis = executor.protocol().basis;
   batch.trajectories.reserve(shots);
   for (std::size_t s = 0; s < shots; ++s) {
     Trajectory t;
@@ -167,7 +166,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 TrajectoryBatch sample_protocol_batch_scalar(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     double q, std::size_t shots, std::uint64_t seed) {
-  if (q <= 0.0 || q >= 1.0) {
+  if (!(q > 0.0) || q >= 1.0) {  // Negated so NaN is rejected too.
     throw std::invalid_argument("sample_protocol_batch: q must be in (0,1)");
   }
   return sample_protocol_batch_scalar(executor, decoder,
@@ -175,8 +174,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 }
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               const sim::NoiseParams& p,
-                               bool x_criterion) {
+                               const sim::NoiseParams& p) {
   std::size_t total = 0;
   for (const auto& b : batches) {
     total += b.trajectories.size();
@@ -192,8 +190,7 @@ Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
   double sum_sq = 0.0;
   for (const auto& b : batches) {
     for (const auto& t : b.trajectories) {
-      const bool fail = x_criterion ? t.x_fail : (t.x_fail || t.z_fail);
-      if (!fail) {
+      if (!qec::flips_prepared_state(b.basis, t.x_fail, t.z_fail)) {
         continue;  // Zero contribution; weights need not be evaluated.
       }
       const double log_target = log_density(t, p);
@@ -220,9 +217,8 @@ Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
 }
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               double p, bool x_criterion) {
-  return estimate_logical_rate(batches, sim::NoiseParams::e1_1(p),
-                               x_criterion);
+                               double p) {
+  return estimate_logical_rate(batches, sim::NoiseParams::e1_1(p));
 }
 
 }  // namespace ftsp::core

@@ -19,8 +19,8 @@ struct Trajectory {
   // which would silently wrap a uint16_t.
   std::array<std::uint32_t, sim::kNumLocationKinds> sites{};
   std::array<std::uint32_t, sim::kNumLocationKinds> faults{};
-  bool x_fail = false;  ///< Paper's criterion for |0>_L (bitstring).
-  bool z_fail = false;
+  bool x_fail = false;  ///< Logical X residual (fails |0>_L).
+  bool z_fail = false;  ///< Logical Z residual (fails |+>_L).
   bool hook_terminated = false;
 
   std::uint32_t total_faults() const {
@@ -36,9 +36,11 @@ struct Trajectory {
 /// `q`. The fault-operator choice (uniform over the location's ops) is
 /// shared between the sampling and target distributions, so re-weighting
 /// a trajectory to target rates `p` only involves the per-kind fault and
-/// clean-location counts.
+/// clean-location counts. `basis` is the prepared state, which decides
+/// the failure criterion (`qec::flips_prepared_state`).
 struct TrajectoryBatch {
   sim::NoiseParams q;
+  qec::LogicalBasis basis = qec::LogicalBasis::Zero;
   std::vector<Trajectory> trajectories;
 };
 
@@ -65,7 +67,7 @@ FrameBatchLayout compute_frame_batch_layout(const Protocol& protocol);
 
 /// Batch word width of the word-parallel engines. The wide (256-bit)
 /// path moves 4x the shots per kernel op and is bit-identical to the
-/// u64 path for equal (seed, shard_shots) — the Bernoulli fault masks
+/// u64 path for equal seeds — the Bernoulli fault masks
 /// are drawn one u64 sub-word at a time in ascending lane order at
 /// every width (cross-checked in `test_samplers` / CI).
 enum class WordWidth {
@@ -74,7 +76,12 @@ enum class WordWidth {
   W256,
 };
 
-/// Controls for the batched sampler. Shots are split into fixed-size
+/// Shots per deterministic shard of the batched sampler (the unit of
+/// work stealing). Part of the sampling function: it fixes which RNG
+/// stream each shot sees.
+inline constexpr std::size_t kShardShots = 4096;
+
+/// Controls for the batched sampler. Shots are split into `kShardShots`
 /// shards; each shard derives its RNG stream from (seed, shard index)
 /// alone and writes a disjoint slice of the output, so the sampled batch
 /// is bit-identical for any `num_threads` — thread count only changes
@@ -82,10 +89,6 @@ enum class WordWidth {
 struct SamplerOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   std::size_t num_threads = 0;
-  /// Shots per deterministic shard (the unit of work stealing). Part of
-  /// the sampling function: changing it changes which RNG stream each
-  /// shot sees.
-  std::size_t shard_shots = 4096;
   /// Optional precomputed layout (artifact-driven construction). When
   /// set it must describe this protocol — segment dimensions are
   /// validated and a mismatch throws — and the sampler skips the
@@ -138,13 +141,12 @@ struct Estimate {
 /// Multiple-importance-sampling estimate (balance heuristic) of the
 /// logical error rate at target rates `p` from one or more batches.
 /// With a single batch sampled at q == p this reduces to plain Monte
-/// Carlo. `x_criterion` selects the paper's destructive-Z-readout
-/// criterion (logical X flips); false counts either flip.
+/// Carlo. A trajectory counts as failed under its batch's basis
+/// (`qec::flips_prepared_state`).
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               const sim::NoiseParams& p,
-                               bool x_criterion = true);
+                               const sim::NoiseParams& p);
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               double p, bool x_criterion = true);
+                               double p);
 
 }  // namespace ftsp::core

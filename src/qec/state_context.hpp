@@ -20,6 +20,15 @@ constexpr const char* name(LogicalBasis b) {
   return b == LogicalBasis::Zero ? "|0>_L" : "|+>_L";
 }
 
+/// Whether a residual whose logical flips are (`x_flip`, `z_flip`)
+/// corrupts the prepared basis state. A logical X flips |0>_L (the
+/// paper's destructive Z readout registers exactly that) and acts
+/// trivially on |+>_L; a logical Z is the reverse.
+constexpr bool flips_prepared_state(LogicalBasis b, bool x_flip,
+                                    bool z_flip) {
+  return b == LogicalBasis::Zero ? x_flip : z_flip;
+}
+
 /// Error semantics for a *prepared logical basis state* of a CSS code.
 ///
 /// The prepared state is stabilized by a larger group than the code: for

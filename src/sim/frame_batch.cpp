@@ -178,43 +178,6 @@ void BasicFrameBatch<Word>::clear() {
 template class BasicFrameBatch<std::uint64_t>;
 template class BasicFrameBatch<SimdWord>;
 
-std::uint64_t bernoulli_word(std::mt19937_64& rng, double p) {
-  if (p <= 0.0) {
-    return 0;
-  }
-  if (p >= 1.0) {
-    return ~std::uint64_t{0};
-  }
-  return bernoulli_word_from_log1mp(rng, std::log1p(-p));
-}
-
-std::uint64_t bernoulli_word_from_log1mp(std::mt19937_64& rng,
-                                         double log1mp) {
-  // Geometric gap sampling: the distance to the next success under
-  // independent Bernoulli(p) trials is floor(log(u) / log(1 - p)).
-  std::uint64_t mask = 0;
-  std::size_t lane = 0;
-  while (true) {
-    // (rng() >> 11) * 2^-53 is uniform on [0, 1); nudge 0 up to keep
-    // log() finite.
-    double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-    if (u <= 0.0) {
-      u = 0x1.0p-53;
-    }
-    const double gap = std::floor(std::log(u) / log1mp);
-    if (gap >= static_cast<double>(BernoulliWordTable::kLanes)) {
-      break;  // Next success falls beyond this word regardless of `lane`.
-    }
-    lane += static_cast<std::size_t>(gap);
-    if (lane >= BernoulliWordTable::kLanes) {
-      break;
-    }
-    mask |= std::uint64_t{1} << lane;
-    ++lane;
-  }
-  return mask;
-}
-
 BernoulliWordTable::BernoulliWordTable(double p) {
   if (p <= 0.0) {
     always_zero_ = true;

@@ -23,8 +23,8 @@ namespace ftsp::sim {
 /// instantiation moves 4x the shots per op of the u64 one and is
 /// bit-identical to it (see `simd_word.hpp` for the lane layout
 /// contract). Fault injection is per-lane (faults are sparse) via
-/// `apply_fault`; batched samplers draw the lanes to fault with
-/// `bernoulli_word` one u64 sub-word at a time.
+/// `apply_fault`; batched samplers draw the lanes to fault from a
+/// `BernoulliWordTable` one u64 sub-word at a time.
 template <typename Word>
 class BasicFrameBatch {
  public:
@@ -134,21 +134,9 @@ using FrameBatch = BasicFrameBatch<std::uint64_t>;
 /// 256-bit batch: 4x the shots per kernel op.
 using WideFrameBatch = BasicFrameBatch<SimdWord>;
 
-/// One word of 64 independent Bernoulli(p) draws (bit l set with
-/// probability p). Uses geometric gap sampling, so the cost is
-/// O(1 + 64 p) RNG draws instead of 64 — the bulk fault-mask generator
-/// for batched sampling at realistic (small) fault rates.
-std::uint64_t bernoulli_word(std::mt19937_64& rng, double p);
-
-/// As `bernoulli_word` but takes the precomputed log1p(-p); hot loops
-/// hoist that transcendental out of the per-word call. Requires
-/// p in (0,1), i.e. log1mp finite and negative.
-std::uint64_t bernoulli_word_from_log1mp(std::mt19937_64& rng,
-                                         double log1mp);
-
-/// Fastest mask generator: draws the word's popcount from a precomputed
-/// inverse-CDF Binomial(64, p) table (one RNG draw, a short scan), then
-/// places the set bits uniformly — no transcendentals anywhere in the
+/// The fault-mask generator of batched sampling: draws the word's
+/// popcount from a precomputed inverse-CDF Binomial(64, p) table (one
+/// RNG draw, a short scan), then places the set bits uniformly — no transcendentals anywhere in the
 /// per-word path. Exactly the 64-fold Bernoulli(p) product distribution.
 /// Always draws one 64-lane sub-word; wide batch words consume one draw
 /// per u64 sub-word, in ascending sub-word order.

@@ -73,6 +73,18 @@ TEST(Cli, NumericGarbageIsAUsageErrorNotAnAbort) {
   EXPECT_EQ(run_cli("rate Steane --seed 1e9").exit_code, 2);
 }
 
+TEST(Cli, NanRatesAreRejected) {
+  // strtod parses "nan"; the sampler and the estimator must refuse it
+  // (exit 1, a runtime error) instead of reporting pL = 0.
+  const auto sim = run_cli("sim Steane --p nan --shots 1000");
+  EXPECT_EQ(sim.exit_code, 1) << sim.output;
+  EXPECT_EQ(sim.output.find("pL"), std::string::npos) << sim.output;
+  const auto rate =
+      run_cli("rate Steane --p 0.01 --rel-err nan --max-shots 200000");
+  EXPECT_EQ(rate.exit_code, 1) << rate.output;
+  EXPECT_NE(rate.output.find("rel_err"), std::string::npos) << rate.output;
+}
+
 TEST(Cli, TrailingValueFlagIsAUsageError) {
   const auto result = run_cli("sim Steane --shots");
   EXPECT_EQ(result.exit_code, 2) << result.output;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <vector>
@@ -412,23 +416,24 @@ TEST(WideFrameBatch, DepositExtractRoundTripsAcrossSubWords) {
   EXPECT_TRUE(batch.extract_frame(69).error.x.none());
 }
 
-// --------------------------------------------------------- bernoulli_word
+// ---------------------------------------------------- BernoulliWordTable
 
-TEST(BernoulliWord, EdgeProbabilities) {
+TEST(BernoulliWordTable, EdgeProbabilities) {
   std::mt19937_64 rng(1);
-  EXPECT_EQ(bernoulli_word(rng, 0.0), 0u);
-  EXPECT_EQ(bernoulli_word(rng, -1.0), 0u);
-  EXPECT_EQ(bernoulli_word(rng, 1.0), ~std::uint64_t{0});
-  EXPECT_EQ(bernoulli_word(rng, 2.0), ~std::uint64_t{0});
+  EXPECT_EQ(BernoulliWordTable(0.0).draw(rng), 0u);
+  EXPECT_EQ(BernoulliWordTable(-1.0).draw(rng), 0u);
+  EXPECT_EQ(BernoulliWordTable(1.0).draw(rng), ~std::uint64_t{0});
+  EXPECT_EQ(BernoulliWordTable(2.0).draw(rng), ~std::uint64_t{0});
 }
 
-TEST(BernoulliWord, MatchesExpectedDensity) {
+TEST(BernoulliWordTable, MatchesExpectedDensity) {
   std::mt19937_64 rng(42);
   for (const double p : {0.003, 0.05, 0.3, 0.7}) {
+    const BernoulliWordTable table(p);
     constexpr int kWords = 4000;
     std::size_t total = 0;
     for (int i = 0; i < kWords; ++i) {
-      total += static_cast<std::size_t>(std::popcount(bernoulli_word(rng, p)));
+      total += static_cast<std::size_t>(std::popcount(table.draw(rng)));
     }
     const double n = 64.0 * kWords;
     const double mean = static_cast<double>(total) / n;
@@ -438,11 +443,35 @@ TEST(BernoulliWord, MatchesExpectedDensity) {
   }
 }
 
-TEST(BernoulliWord, DeterministicForSeed) {
+TEST(BernoulliWordTable, EveryLaneHasTheMarginalRate) {
+  // The popcount draw fixes the density; the placement must spread it
+  // evenly, or some lanes would fault more often than others.
+  std::mt19937_64 rng(5);
+  for (const double p : {0.02, 0.3, 0.7}) {
+    const BernoulliWordTable table(p);
+    constexpr int kWords = 20000;
+    std::array<std::size_t, 64> hits{};
+    for (int i = 0; i < kWords; ++i) {
+      std::uint64_t mask = table.draw(rng);
+      while (mask != 0) {
+        ++hits[static_cast<std::size_t>(std::countr_zero(mask))];
+        mask &= mask - 1;
+      }
+    }
+    const double tolerance = 6.0 * std::sqrt(p * (1.0 - p) / kWords);
+    for (std::size_t lane = 0; lane < hits.size(); ++lane) {
+      EXPECT_NEAR(static_cast<double>(hits[lane]) / kWords, p, tolerance)
+          << "p = " << p << " lane " << lane;
+    }
+  }
+}
+
+TEST(BernoulliWordTable, DeterministicForSeed) {
+  const BernoulliWordTable table(0.1);
   std::mt19937_64 a(7);
   std::mt19937_64 b(7);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(bernoulli_word(a, 0.1), bernoulli_word(b, 0.1));
+    EXPECT_EQ(table.draw(a), table.draw(b));
   }
 }
 

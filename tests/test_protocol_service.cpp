@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "compile/json.hpp"
 #include "obs/registry.hpp"
@@ -171,6 +173,28 @@ TEST_F(ServiceTest, PlusBasisServedUnderQualifiedName) {
   EXPECT_NE(info.find(R"("basis":"plus")"), std::string::npos);
   const auto zero = service.handle_request(R"({"op":"info","code":"Steane"})");
   EXPECT_NE(zero.find(R"("basis":"zero")"), std::string::npos);
+}
+
+TEST_F(ServiceTest, PlusBasisEstimatesCountLogicalZFlips) {
+  // Each basis fails on the logical flip that corrupts it: x_fails for
+  // |0>_L, z_fails for |+>_L (a logical X acts trivially there).
+  const ProtocolCompiler compiler;
+  ProtocolService service;
+  service.add(compiler.compile(qec::steane(), qec::LogicalBasis::Zero));
+  service.add(compiler.compile(qec::steane(), qec::LogicalBasis::Plus));
+  for (const auto& [code, fails] :
+       {std::pair{"Steane", "x_fails"}, std::pair{"Steane/plus", "z_fails"}}) {
+    const auto sample = parse_json_object(service.handle_request(
+        std::string(R"({"op":"sample","p":0.05,"shots":20000,"code":")") +
+        code + "\"}"));
+    EXPECT_NEAR(sample.at("p_logical").number,
+                sample.at(fails).number / 20000.0, 1e-12)
+        << code;
+    // Fault tolerant in both bases: p_L = O(p^2), far below p.
+    const auto rate = parse_json_object(service.handle_request(
+        std::string(R"({"op":"rate","p":0.001,"code":")") + code + "\"}"));
+    EXPECT_LT(rate.at("p_logical").number, 1e-4) << code;
+  }
 }
 
 TEST_F(ServiceTest, ServeLinesPreservesOrderAcrossThreads) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -19,15 +20,20 @@ struct SteaneFixture {
   Executor executor;
   decoder::PerfectDecoder decoder;
 
-  SteaneFixture()
+  explicit SteaneFixture(qec::LogicalBasis basis)
       : protocol(synthesize_protocol(qec::library_code_by_name("Steane"),
-                                     qec::LogicalBasis::Zero)),
+                                     basis)),
         executor(protocol),
         decoder(*protocol.code) {}
 };
 
 SteaneFixture& steane() {
-  static SteaneFixture fixture;
+  static SteaneFixture fixture(qec::LogicalBasis::Zero);
+  return fixture;
+}
+
+SteaneFixture& steane_plus() {
+  static SteaneFixture fixture(qec::LogicalBasis::Plus);
   return fixture;
 }
 
@@ -57,7 +63,8 @@ struct PlannedFault {
 };
 
 /// Scalar-executor reference run with explicitly planted faults — the
-/// independent oracle for the exhaustive sectors.
+/// independent oracle for the exhaustive sectors. Fails on the logical
+/// flip that corrupts the protocol's basis state.
 bool scalar_planted_fail(const Executor& executor,
                          const decoder::PerfectDecoder& decoder,
                          const std::vector<PlannedFault>& faults) {
@@ -69,13 +76,17 @@ bool scalar_planted_fail(const Executor& executor,
     }
     return -1;
   });
-  return decoder.decode(result.data_error).x_flip;
+  const auto logical = decoder.decode(result.data_error);
+  return executor.protocol().basis == qec::LogicalBasis::Zero
+             ? logical.x_flip
+             : logical.z_flip;
 }
 
 // --------------------------------------------- exhaustive cross-checks
 
-TEST(RateEstimator, SingleFaultSectorMatchesDirectEnumeration) {
-  auto& fixture = steane();
+/// Checks the exhaustive k = 1 sector against the scalar oracle and
+/// asserts fault tolerance: no single fault causes a logical failure.
+void check_single_fault_sector(SteaneFixture& fixture) {
   RateOptions options;
   options.seed = 11;
   const double p = 0.01;
@@ -117,6 +128,20 @@ TEST(RateEstimator, SingleFaultSectorMatchesDirectEnumeration) {
   // Fault tolerance of the synthesized protocol: no single fault may
   // cause a logical error.
   EXPECT_DOUBLE_EQ(reference, 0.0);
+  EXPECT_DOUBLE_EQ(k1.fail_rate, 0.0);
+}
+
+TEST(RateEstimator, SingleFaultSectorMatchesDirectEnumeration) {
+  check_single_fault_sector(steane());
+}
+
+TEST(RateEstimator, PlusBasisSingleFaultSectorIsFaultFree) {
+  // |+>_L fails on a logical Z flip; a harmless logical X counted as a
+  // failure would give this sector a nonzero rate and p_L an O(p) term.
+  check_single_fault_sector(steane_plus());
+  const auto estimate = estimate_logical_error_rate(
+      steane_plus().executor, steane_plus().decoder, 1e-3);
+  EXPECT_LT(estimate.p_logical, 1e-3);
 }
 
 TEST(RateEstimator, TwoFaultSectorMatchesDirectEnumeration) {
@@ -301,8 +326,8 @@ TEST(RateEstimator, ExhaustedBudgetFoldsUnsampledSectorsIntoTail) {
   auto& fixture = steane();
   RateOptions options;
   options.seed = 2;
-  options.min_sector_shots = 2048;
-  options.max_shots = 2048;  // Exhausted after the first sampled sector.
+  // Exhausted after the first sampled sector's initial allocation.
+  options.max_shots = kMinSectorShots;
   const auto estimate = estimate_logical_error_rate(
       fixture.executor, fixture.decoder, 0.05, options);
 
@@ -319,14 +344,13 @@ TEST(RateEstimator, ExhaustedBudgetFoldsUnsampledSectorsIntoTail) {
   ASSERT_GT(unsampled, 0u);
   EXPECT_GE(estimate.tail_weight, unsampled_weight);
   EXPECT_GE(estimate.ci_high, estimate.p_logical + unsampled_weight * 0.99);
-  EXPECT_EQ(estimate.mc_shots, 2048u);
+  EXPECT_EQ(estimate.mc_shots, kMinSectorShots);
 
   // With budget to spare, the allocator keeps going until the combined
   // error — sampling std error PLUS the still-unassessed mass — meets
   // the target, then stops instead of burning the rest of the budget.
   RateOptions roomy = options;
   roomy.max_shots = 1 << 20;
-  roomy.min_sector_shots = 0;  // Everything flows through the allocator.
   const auto full = estimate_logical_error_rate(fixture.executor,
                                                 fixture.decoder, 0.05, roomy);
   EXPECT_LT(full.mc_shots, roomy.max_shots);  // Converged, not exhausted.
@@ -352,11 +376,18 @@ TEST(RateEstimator, ValidatesArguments) {
   EXPECT_THROW(estimate_logical_error_rate_sweep(fixture.executor,
                                                  fixture.decoder, {}),
                std::invalid_argument);
-  RateOptions bad;
-  bad.rel_err = 0.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(estimate_logical_error_rate(fixture.executor, fixture.decoder,
-                                           0.01, bad),
+                                           nan),
                std::invalid_argument);
+  for (const double rel_err : {0.0, -0.1, nan}) {
+    RateOptions bad;
+    bad.rel_err = rel_err;
+    EXPECT_THROW(estimate_logical_error_rate(fixture.executor,
+                                             fixture.decoder, 0.01, bad),
+                 std::invalid_argument)
+        << "rel_err = " << rel_err;
+  }
 }
 
 }  // namespace

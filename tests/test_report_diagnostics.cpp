@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/diagnostics.hpp"
 #include "core/report.hpp"
-#include "core/samplers.hpp"
 #include "qec/code_library.hpp"
 
 namespace ftsp::core {
@@ -46,67 +44,6 @@ TEST(Report, DeferredPolicyIsVisible) {
     EXPECT_NE(report.find("Layer 2"), std::string::npos);
   }
   EXPECT_FALSE(report.empty());
-}
-
-TEST(Diagnostics, SingleFaultRegimeIsClean) {
-  // At t = 1 a two-fault survey may violate, but a *zero*-fault survey
-  // framing: every sampled pair where both faults happen to be benign
-  // leaves weight <= 2; here we check the survey runs and counts sanely.
-  const auto protocol =
-      synthesize_protocol(qec::steane(), LogicalBasis::Zero);
-  const Executor executor(protocol);
-  const auto survey = survey_two_faults(executor, /*t=*/2, 2000, 9);
-  EXPECT_EQ(survey.pairs_checked, 2000u);
-  EXPECT_LE(survey.weight_violations, survey.pairs_checked);
-  EXPECT_LE(survey.logical_class_residuals, survey.pairs_checked);
-}
-
-TEST(Diagnostics, TIsMonotone) {
-  // Raising the tolerated weight can only reduce violations.
-  const auto protocol =
-      synthesize_protocol(qec::surface3(), LogicalBasis::Zero);
-  const Executor executor(protocol);
-  const auto t1 = survey_two_faults(executor, 1, 1500, 4);
-  const auto t2 = survey_two_faults(executor, 2, 1500, 4);
-  EXPECT_GE(t1.weight_violations, t2.weight_violations);
-}
-
-TEST(Diagnostics, ExactLeadingOrderMatchesSampler) {
-  // The exhaustively-enumerated O(p^2) coefficient must (a) report zero
-  // single-fault failures (fault tolerance, via the decoder this time)
-  // and (b) predict the importance-sampled logical error rate at small p
-  // within a modest factor (branch-pair contributions are excluded from
-  // c2, so the sampled estimate may sit slightly above).
-  const auto protocol =
-      synthesize_protocol(qec::steane(), LogicalBasis::Zero);
-  const Executor executor(protocol);
-  const decoder::PerfectDecoder decoder(*protocol.code);
-  const auto leading = exact_leading_order(executor, decoder);
-  EXPECT_EQ(leading.single_fault_failures, 0u);
-  EXPECT_GT(leading.pairs_enumerated, 1000u);
-  EXPECT_GT(leading.c2_x, 0.0);
-  EXPECT_GE(leading.c2_any, leading.c2_x);
-
-  const std::vector<TrajectoryBatch> batches = {
-      sample_protocol_batch(executor, decoder, 0.05, 30000, 71),
-      sample_protocol_batch(executor, decoder, 0.01, 30000, 72)};
-  const double p = 1e-3;
-  const double sampled = estimate_logical_rate(batches, p).mean;
-  const double predicted = leading.c2_x * p * p;
-  EXPECT_GT(sampled, 0.3 * predicted);
-  EXPECT_LT(sampled, 3.0 * predicted);
-}
-
-TEST(Diagnostics, DistanceFourCodesAreMoreRobustToPairs) {
-  // d = 4 codes detect weight-2 residuals, so the fraction of two-fault
-  // pairs that end in a *logical class* should compare favourably with
-  // their violation count; smoke-level sanity only.
-  const auto protocol =
-      synthesize_protocol(qec::carbon(), LogicalBasis::Zero);
-  const Executor executor(protocol);
-  const auto survey = survey_two_faults(executor, 2, 1500, 11);
-  EXPECT_EQ(survey.pairs_checked, 1500u);
-  EXPECT_LT(survey.violation_rate(), 0.5);
 }
 
 }  // namespace

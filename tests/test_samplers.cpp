@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/protocol.hpp"
 #include "qec/code_library.hpp"
@@ -39,6 +40,23 @@ TEST_F(SamplerTest, InvalidQRejected) {
                std::invalid_argument);
 }
 
+TEST_F(SamplerTest, NanRatesRejected) {
+  // NaN fails every ordered comparison, so only negated range checks
+  // catch it; an accepted NaN would sample zero faults and report 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sample_protocol_batch(*executor_, *decoder_, nan, 10, 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      sample_protocol_batch_scalar(*executor_, *decoder_, nan, 10, 1),
+      std::invalid_argument);
+  const auto biased = sim::NoiseParams::biased(0.01, nan, 0.01, 0.01);
+  EXPECT_THROW(sample_protocol_batch(*executor_, *decoder_, biased, 10, 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      sample_protocol_batch_scalar(*executor_, *decoder_, biased, 10, 1),
+      std::invalid_argument);
+}
+
 TEST_F(SamplerTest, FaultCountsBounded) {
   const auto batch =
       sample_protocol_batch(*executor_, *decoder_, 0.3, 200, 7);
@@ -61,9 +79,32 @@ TEST_F(SamplerTest, PlainMonteCarloMatchesManualAverage) {
   for (const auto& t : batch.trajectories) {
     failures += t.x_fail ? 1 : 0;
   }
-  const auto estimate = estimate_logical_rate({batch}, 0.08, true);
+  const auto estimate = estimate_logical_rate({batch}, 0.08);
   EXPECT_NEAR(estimate.mean,
               static_cast<double>(failures) / 3000.0, 1e-12);
+}
+
+TEST_F(SamplerTest, PlusBasisCountsLogicalZFlips) {
+  // A logical X acts trivially on |+>_L, so its failures are the
+  // logical Z flips; counting x_fail there reports an O(p) rate for a
+  // fault-tolerant protocol.
+  const auto plus = synthesize_protocol(qec::steane(), LogicalBasis::Plus);
+  const Executor executor(plus);
+  const auto batch = sample_protocol_batch(executor, *decoder_, 0.05, 20000,
+                                           3);
+  EXPECT_EQ(batch.basis, LogicalBasis::Plus);
+  std::size_t x_fails = 0;
+  std::size_t z_fails = 0;
+  for (const auto& t : batch.trajectories) {
+    x_fails += t.x_fail ? 1 : 0;
+    z_fails += t.z_fail ? 1 : 0;
+  }
+  ASSERT_NE(x_fails, z_fails);
+  EXPECT_NEAR(estimate_logical_rate({batch}, 0.05).mean,
+              static_cast<double>(z_fails) / 20000.0, 1e-12);
+  const auto scalar =
+      sample_protocol_batch_scalar(executor, *decoder_, 0.05, 10, 3);
+  EXPECT_EQ(scalar.basis, LogicalBasis::Plus);
 }
 
 TEST_F(SamplerTest, EstimateDecreasesWithP) {
@@ -137,22 +178,23 @@ TEST_F(SamplerTest, BatchedDeterministicAcrossThreadCounts) {
   // bit-identical no matter how many workers ran it.
   SamplerOptions one_thread;
   one_thread.num_threads = 1;
-  one_thread.shard_shots = 256;  // Several shards even at modest shots.
   SamplerOptions four_threads = one_thread;
   four_threads.num_threads = 4;
+  // Three shards, the last one partial.
+  constexpr std::size_t kShots = 2 * kShardShots + 1000;
 
-  const auto a = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000, 77,
-                                       one_thread);
-  const auto b = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000, 77,
-                                       four_threads);
+  const auto a = sample_protocol_batch(*executor_, *decoder_, 0.1, kShots,
+                                       77, one_thread);
+  const auto b = sample_protocol_batch(*executor_, *decoder_, 0.1, kShots,
+                                       77, four_threads);
   ASSERT_EQ(a.trajectories.size(), b.trajectories.size());
   for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
     ASSERT_TRUE(same_trajectory(a.trajectories[i], b.trajectories[i]))
         << "shot " << i;
   }
   // And rerunning with the same seed reproduces the same counts.
-  const auto c = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000, 77,
-                                       four_threads);
+  const auto c = sample_protocol_batch(*executor_, *decoder_, 0.1, kShots,
+                                       77, four_threads);
   for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
     ASSERT_TRUE(same_trajectory(a.trajectories[i], c.trajectories[i]));
   }
@@ -160,17 +202,18 @@ TEST_F(SamplerTest, BatchedDeterministicAcrossThreadCounts) {
 
 TEST_F(SamplerTest, WideWordPathBitIdenticalToU64Path) {
   // The 256-bit SimdWord engine must produce the exact same batch as
-  // the u64 oracle path for equal (seed, shard_shots): fault masks are
+  // the u64 oracle path for equal seeds: fault masks are
   // drawn one u64 sub-word at a time in ascending lane order at every
   // width. This is the runtime check CI leans on for the compile-time
   // word dispatch.
   SamplerOptions narrow;
   narrow.width = WordWidth::W64;
   narrow.num_threads = 1;
-  narrow.shard_shots = 300;  // Forces partial words at both widths.
   SamplerOptions wide = narrow;
   wide.width = WordWidth::W256;
-  for (const std::size_t shots : {1ul, 130ul, 1000ul}) {
+  // The last size ends in a partial shard whose tail is a partial word
+  // at both widths.
+  for (const std::size_t shots : {1ul, 130ul, 1000ul, kShardShots + 300}) {
     const auto a =
         sample_protocol_batch(*executor_, *decoder_, 0.07, shots, 5, narrow);
     const auto b =
@@ -237,13 +280,15 @@ TEST_F(SamplerTest, BatchedMatchesScalarOracleStatistics) {
   }
 }
 
-TEST_F(SamplerTest, BatchedHandlesOddShotCountsAndShardSizes) {
+TEST_F(SamplerTest, BatchedHandlesOddShotCounts) {
   SamplerOptions options;
   options.num_threads = 2;
-  options.shard_shots = 100;  // Not a multiple of 64: partial tail words.
-  const auto batch = sample_protocol_batch(*executor_, *decoder_, 0.2, 333,
+  // A full shard plus a 333-shot tail: not a multiple of 64, so the
+  // second shard ends in a partial word.
+  constexpr std::size_t kShots = kShardShots + 333;
+  const auto batch = sample_protocol_batch(*executor_, *decoder_, 0.2, kShots,
                                            9, options);
-  ASSERT_EQ(batch.trajectories.size(), 333u);
+  ASSERT_EQ(batch.trajectories.size(), kShots);
   for (const auto& t : batch.trajectories) {
     std::uint64_t sites = 0;
     for (std::size_t k = 0; k < sim::kNumLocationKinds; ++k) {
@@ -252,14 +297,6 @@ TEST_F(SamplerTest, BatchedHandlesOddShotCountsAndShardSizes) {
     }
     EXPECT_GT(sites, 0u);
   }
-}
-
-TEST_F(SamplerTest, ZeroShardShotsRejected) {
-  SamplerOptions options;
-  options.shard_shots = 0;
-  EXPECT_THROW(
-      sample_protocol_batch(*executor_, *decoder_, 0.1, 10, 1, options),
-      std::invalid_argument);
 }
 
 TEST(TrajectoryCounters, HoldCountsBeyondUint16) {
